@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from .losses import iou_grad_check
 from .metrics import evaluate, write_metrics_csv
 from .pipeline import run_pipeline
 from .storage import read_map_pgm, read_tensor, write_map_pgm, write_tensor
-from .types import FeatureGroup, MapGroup, PipelineConfig, UNIT_NORM_TOL
+from .types import FeatureGroup, MapGroup, PipelineConfig
 
 _EXIT_CODES = {"argument": 2, "format": 3, "shape": 4}
 
@@ -89,16 +90,14 @@ def _load_features(directory: str) -> tuple[FeatureGroup, list[str]]:
             raise ShapeError(
                 f"{path}: shape {t.shape} disagrees with the group's {tensors[0].shape}"
             )
-        norms = np.sqrt((t.astype(np.float64) ** 2).sum(axis=0))
-        ok = (np.abs(norms - 1.0) <= UNIT_NORM_TOL) | (norms == 0.0)
-        if not ok.all():
-            h, w = np.argwhere(~ok)[0]
-            raise RangeViolationError(
-                f"{path}: embedding at (row={h}, col={w}) has norm {norms[h, w]:.6g}; "
-                "features must be l2-normalized"
-            )
         tensors.append(t)
-    return FeatureGroup.from_tensors(tensors), [p.stem for p in files]
+    try:
+        features = FeatureGroup.from_tensors(tensors)
+    except RangeViolationError as exc:
+        raise RangeViolationError(
+            f"{files[exc.image]}: {exc}; features must be l2-normalized", image=exc.image
+        ) from None
+    return features, [p.stem for p in files]
 
 
 def _load_map_group(directory: str, stems: list[str]) -> MapGroup:
@@ -173,11 +172,9 @@ def _write_trace(out_dir: Path, stems: list[str], trace) -> None:
 def _dump_scores(path: Path, stems: list[str], trace, height: int, width: int) -> None:
     rows = ["iteration,image,row,col,score"]
     for rec in trace.records:
-        scores = rec.scores.reshape(len(stems), height, width)
-        for i, stem in enumerate(stems):
-            for y in range(height):
-                for x in range(width):
-                    rows.append(f"{rec.iteration},{stem},{y},{x},{scores[i, y, x]:.17g}")
+        cells = itertools.product(stems, range(height), range(width))
+        rows += [f"{rec.iteration},{stem},{y},{x},{v:.17g}"
+                 for (stem, y, x), v in zip(cells, rec.scores.tolist())]
     _atomic_text(path, "".join(r + "\n" for r in rows))
 
 
@@ -223,13 +220,15 @@ def cmd_fixtures(args) -> int:
     if not spec_path.is_file():
         raise ArgumentError(f"spec file {spec_path} does not exist")
     try:
-        payload = json.loads(spec_path.read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(spec_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArgumentError(f"{spec_path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ArgumentError(f"{spec_path}: spec must be a JSON object")
     if "seed" not in payload:
         raise ArgumentError(f"{spec_path}: spec needs a 'seed' field")
-    if "co_direction" in payload:
-        try:
+    try:
+        if "co_direction" in payload:
             spec = FixtureSpec(
                 seed=payload["seed"],
                 n_images=payload["n_images"],
@@ -243,12 +242,15 @@ def cmd_fixtures(args) -> int:
                 noise_sigma=payload["noise_sigma"],
                 init_mode=payload.get("init_mode", "dilated"),
             )
-        except KeyError as exc:
-            raise ArgumentError(f"{spec_path}: missing field {exc}") from None
-    else:
-        kwargs = {k: payload[k] for k in _SPEC_GEN_KEYS if k in payload}
-        spec = random_fixture_spec(payload["seed"], **kwargs)
-    features, gt, init = generate_fixture(spec)
+        else:
+            kwargs = {k: payload[k] for k in _SPEC_GEN_KEYS if k in payload}
+            spec = random_fixture_spec(payload["seed"], **kwargs)
+        features, gt, init = generate_fixture(spec)
+    except KeyError as exc:
+        raise ArgumentError(f"{spec_path}: missing field {exc}") from None
+    except TypeError as exc:
+        # Every value here comes from the spec, so this is a field of the wrong type.
+        raise ArgumentError(f"{spec_path}: spec field of the wrong type ({exc})") from None
     out = Path(args.out)
     for sub in ("features", "gt", "init"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -264,6 +266,8 @@ def cmd_fixtures(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ArgumentError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

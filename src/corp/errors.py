@@ -24,7 +24,12 @@ class ShapeError(CorpError, ValueError):
 
 
 class RangeViolationError(ShapeError):
-    """Value outside its documented range; message names the first offender."""
+    """Value outside its documented range; message names the first offender,
+    and ``image`` its index in the group when the check knows it."""
+
+    def __init__(self, message: str, image: int | None = None):
+        super().__init__(message)
+        self.image = image
 
 
 class DegenerateInputError(ArgumentError):

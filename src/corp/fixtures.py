@@ -18,7 +18,7 @@ noise_sigma > 0) D gaussians; inside pixels skip the direction draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,8 +259,3 @@ def _check_separation(feats: np.ndarray, gt: np.ndarray) -> None:
             f"<= max out-region score {max_out:.6f}); lower noise_sigma or raise "
             "separation_margin"
         )
-
-
-def with_seed(spec: FixtureSpec, seed: int) -> FixtureSpec:
-    """Copy of a spec with a different seed."""
-    return replace(spec, seed=seed)

@@ -135,6 +135,7 @@ def run_pipeline(
     With ``cfg.proxy_mode == "from_ground_truth"`` the proxy is recomputed
     from ``gt`` every iteration instead of the previous prediction. When
     ``gt`` is supplied the per-iteration purity proportion is recorded.
+    Each iteration scores once; ``keep_scores`` keeps that vector per record.
     ``cfg.iters == 0`` yields an empty trace and the caller keeps its input
     maps.
     """
@@ -162,14 +163,15 @@ def run_pipeline(
         if cfg.binarize_maps:
             source = source.binarized()
         proxy = compute_proxy(features, source, eps=cfg.eps, iteration=t)
-        corep = search_corepresentation(features, proxy, cfg.k, per_image_cap=cfg.per_image_cap)
-        stack = correlation_transform(features, proxy, corep)
+        scores = score_all(features, proxy)
+        corep = search_corepresentation(features, proxy, cfg.k, cfg.per_image_cap, scores=scores)
+        stack = correlation_transform(features, proxy, corep, scores=scores)
         maps_t = decoder(stack, h, w)
         purity = purity_proportion(corep, gt_feat) if gt_feat is not None else None
-        scores = score_all(features, proxy) if keep_scores else None
         records.append(
             IterationRecord(
-                iteration=t, proxy=proxy, corep=corep, maps=maps_t, purity=purity, scores=scores
+                iteration=t, proxy=proxy, corep=corep, maps=maps_t, purity=purity,
+                scores=scores if keep_scores else None,
             )
         )
         prev = maps_t

@@ -1,8 +1,8 @@
 """Co-representation search: score all embeddings, select top-k, transform.
 
-One round of searching consists of scoring every pixel embedding against the
-proxy, keeping the k best-correlated locations, gathering their embeddings,
-and converting each image into k correlation maps.
+One round of searching scores every pixel embedding against the proxy once,
+keeps the k best-correlated locations, gathers their embeddings, and turns
+each image into k correlation maps; selection and transform share the scores.
 """
 from __future__ import annotations
 
@@ -20,31 +20,25 @@ __all__ = [
 ]
 
 
-def _image_scores(img64: np.ndarray, pvec: np.ndarray) -> np.ndarray:
-    # Accumulates over channels left to right; per-pixel this is exactly the
-    # scalar sequence acc += p[d] * f[d], so a naive loop reproduces it bitwise.
-    acc = np.zeros(img64.shape[1], dtype=np.float64)
-    for d in range(img64.shape[0]):
-        acc += pvec[d] * img64[d]
-    return acc
-
-
 def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
     """Correlation score of every pixel embedding against the proxy.
 
     Returns a flat float64 vector of length N*H*W in image-major, row-major
     order. For unit-norm inputs all values lie in [-1, 1] up to rounding.
+    One pass over all images accumulates channels left to right, so each
+    value is exactly the scalar sequence acc += p[d] * f[d] in float64.
     """
     if proxy.dim != features.channels:
         raise ShapeError(
             f"proxy dimension {proxy.dim} does not match feature channels {features.channels}"
         )
     n, d, h, w = features.embeddings.shape
-    flat = features.embeddings64.reshape(n, d, h * w)
-    out = np.empty(n * h * w, dtype=np.float64)
-    for i in range(n):
-        out[i * h * w:(i + 1) * h * w] = _image_scores(flat[i], proxy.vec)
-    return out
+    flat = features.embeddings.reshape(n, d, h * w)
+    acc = np.zeros((n, h * w), dtype=np.float64)
+    for c in range(d):
+        # proxy.vec[c] is a numpy float64, so float32 channels multiply into float64.
+        acc += proxy.vec[c] * flat[:, c, :]
+    return acc.reshape(-1)
 
 
 def search_corepresentation(
@@ -52,14 +46,17 @@ def search_corepresentation(
     proxy: Proxy,
     k: int,
     per_image_cap: int | None = None,
+    scores=None,
 ) -> CoRepresentation:
     """Select the k locations best correlated with the proxy and gather them.
 
     ``per_image_cap`` optionally limits how many locations one image may
     contribute; by default there is no quota and the selection is a global
-    top-k over all N*H*W locations.
+    top-k over all N*H*W locations. ``scores`` is ``score_all(features,
+    proxy)`` when the caller already has it.
     """
-    scores = score_all(features, proxy)
+    if scores is None:
+        scores = score_all(features, proxy)
     n, _, h, w = features.embeddings.shape
     if per_image_cap is None:
         idx = topk_desc(scores, k)
@@ -70,18 +67,11 @@ def search_corepresentation(
             )
         if not 1 <= k <= scores.shape[0]:
             raise ArgumentError(f"k must be in [1, {scores.shape[0]}], got {k}")
+        # In score order, keep the locations ranked below the cap within their image.
         order = np.argsort(-scores, kind="stable")
-        taken = np.zeros(n, dtype=np.int64)
-        picked = []
-        for flat_i in order:
-            img = int(flat_i) // (h * w)
-            if taken[img] >= per_image_cap:
-                continue
-            taken[img] += 1
-            picked.append(int(flat_i))
-            if len(picked) == k:
-                break
-        idx = np.asarray(picked, dtype=np.int64)
+        rank = np.empty_like(order)
+        rank[np.argsort(order // (h * w), kind="stable")] = np.tile(np.arange(h * w), n)
+        idx = order[rank < per_image_cap][:k]
     imgs = idx // (h * w)
     rows = (idx % (h * w)) // w
     cols = idx % w
@@ -91,13 +81,14 @@ def search_corepresentation(
 
 
 def correlation_transform(
-    features: FeatureGroup, proxy: Proxy, corep: CoRepresentation
+    features: FeatureGroup, proxy: Proxy, corep: CoRepresentation, scores=None
 ) -> CorrelationMapStack:
     """Convert each image into K correlation maps.
 
-    Per image: score every pixel against the proxy, scale each pixel
-    embedding by its score, then take inner products with all K selected
-    embeddings. Output shape is (N, K, H, W).
+    Per image: scale each pixel embedding by its proxy score, then take
+    inner products with all K selected embeddings. Output shape is
+    (N, K, H, W). ``scores`` is ``score_all(features, proxy)`` when the
+    caller already has it.
     """
     if proxy.dim != features.channels or corep.dim != features.channels:
         raise ShapeError(
@@ -105,12 +96,12 @@ def correlation_transform(
             f"co-representation D={corep.dim}"
         )
     n, d, h, w = features.embeddings.shape
+    s = (score_all(features, proxy) if scores is None else scores).reshape(n, h * w)
     c64 = corep.embeddings.astype(np.float64)
     out = np.empty((n, corep.k, h, w), dtype=np.float64)
     for i in range(n):
-        flat = features.embeddings64[i].reshape(d, h * w)
-        s = _image_scores(flat, proxy.vec)
-        out[i] = (c64 @ (flat * s[None, :])).reshape(corep.k, h, w)
+        flat = features.embeddings[i].reshape(d, h * w)
+        out[i] = (c64 @ (flat * s[i])).reshape(corep.k, h, w)
     return CorrelationMapStack(out)
 
 

@@ -11,6 +11,7 @@ write/read unchanged once it has been quantized.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import (
     ArgumentError,
     BadMagicError,
+    FormatError,
     PgmFormatError,
     RangeViolationError,
     ShapeError,
@@ -84,6 +86,8 @@ def read_tensor(path) -> np.ndarray:
         raise UnsupportedVersionError(f"{path}: unsupported version {version}, expected {VERSION}")
     if dtype_code not in _CODE_DTYPES:
         raise UnsupportedDtypeError(f"{path}: unsupported dtype code {dtype_code}")
+    if ndim == 0:
+        raise FormatError(f"{path}: ndim must be in [1, 255], got 0")
     offset = 7
     if len(data) < offset + 4 * ndim:
         raise TruncatedPayloadError(f"{path}: header declares {ndim} dims but file ends early")
@@ -92,7 +96,7 @@ def read_tensor(path) -> np.ndarray:
     if any(d < 1 for d in dims):
         raise TruncatedPayloadError(f"{path}: non-positive extent in dims {dims}")
     dtype = _CODE_DTYPES[dtype_code]
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     actual = len(data) - offset
     if actual != expected:
         raise TruncatedPayloadError(

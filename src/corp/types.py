@@ -44,16 +44,21 @@ class FeatureGroup:
             arr = arr.astype(np.float32)
         if min(arr.shape) < 1:
             raise ShapeError(f"all extents must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise RangeViolationError("embeddings contain non-finite values")
         arr = _frozen(arr)
-        norms = np.sqrt((arr.astype(np.float64) ** 2).sum(axis=1))
+        # Accumulate in float64 channel by channel: no float64 copy of the group.
+        # Non-finite values give a non-finite norm and fail the check below.
+        sq = np.zeros((arr.shape[0],) + arr.shape[2:], dtype=np.float64)
+        for d in range(arr.shape[1]):
+            x = arr[:, d].astype(np.float64)
+            sq += x * x
+        norms = np.sqrt(sq)
         ok = (np.abs(norms - 1.0) <= UNIT_NORM_TOL) | (norms == 0.0)
         if not ok.all():
             n, h, w = np.argwhere(~ok)[0]
             raise RangeViolationError(
                 f"embedding at (image={n}, row={h}, col={w}) has norm "
-                f"{norms[n, h, w]:.6g}, expected 1 or 0"
+                f"{norms[n, h, w]:.6g}, expected 1 or 0",
+                image=int(n),
             )
         object.__setattr__(self, "embeddings", arr)
 
@@ -84,12 +89,9 @@ class FeatureGroup:
     def width(self) -> int:
         return self.embeddings.shape[3]
 
-    def image(self, n: int) -> np.ndarray:
-        return self.embeddings[n]
-
     @cached_property
     def embeddings64(self) -> np.ndarray:
-        """Float64 view of the embeddings, computed once and cached."""
+        """Float64 copy of the embeddings, made on first use; corp never reads it."""
         arr = self.embeddings.astype(np.float64)
         arr.setflags(write=False)
         return arr
@@ -134,9 +136,6 @@ class MapGroup:
     @property
     def width(self) -> int:
         return self.maps.shape[2]
-
-    def map(self, n: int) -> np.ndarray:
-        return self.maps[n]
 
     def binarized(self, threshold: float = 0.5) -> "MapGroup":
         return MapGroup(np.where(self.maps >= threshold, 1.0, 0.0).astype(self.maps.dtype))

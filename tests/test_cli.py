@@ -137,7 +137,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:shape:") and "b.crpt" in err
 
-    def test_unnormalized_features_exit_4(self, tmp_path, rng):
+    def test_unnormalized_features_exit_4(self, tmp_path, rng, capsys):
         feat_dir = tmp_path / "features"
         feat_dir.mkdir()
         write_tensor(feat_dir / "a.crpt", rng.standard_normal((4, 6, 6)).astype(np.float32) * 3)
@@ -146,11 +146,47 @@ class TestRun:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:shape:") and "a.crpt" in err
+
+    def test_unnormalized_second_file_is_named(self, tmp_path, capsys):
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        unit = np.zeros((4, 6, 6), dtype=np.float32)
+        unit[0] = 1.0
+        write_tensor(feat_dir / "a.crpt", unit)
+        bad = unit.copy()
+        bad[:, 2, 3] = np.nan
+        write_tensor(feat_dir / "b.crpt", bad)
+        code = main([
+            "run", "--features", str(feat_dir), "--init-maps", "all-ones",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:shape:") and "b.crpt" in err and "a.crpt" not in err
 
     def test_corrupt_feature_file_exits_3(self, tmp_path, capsys):
         feat_dir = tmp_path / "features"
         feat_dir.mkdir()
         (feat_dir / "a.crpt").write_bytes(b"XXXX" + bytes(16))
+        code = main([
+            "run", "--features", str(feat_dir), "--init-maps", "all-ones",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error:format:")
+
+    @pytest.mark.parametrize("raw", [
+        # Extents whose 64-bit product wraps to 0, matching the empty payload.
+        b"CRPT\x01\x01\x03" + (2 ** 31).to_bytes(4, "little") * 2 + (4).to_bytes(4, "little"),
+        # A 0-d tensor, which the writer refuses.
+        b"CRPT\x01\x01\x00" + bytes(4),
+    ], ids=["wrapping-extents", "zero-ndim"])
+    def test_malformed_header_exits_3(self, tmp_path, capsys, raw):
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        (feat_dir / "a.crpt").write_bytes(raw)
         code = main([
             "run", "--features", str(feat_dir), "--init-maps", "all-ones",
             "--out", str(tmp_path / "out"),
@@ -264,6 +300,23 @@ class TestFixturesCommand:
         bad.write_text("{}")
         assert main(["fixtures", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("raw", [
+        b"5",
+        b'{"seed": 1, "n_images": "3"}',
+        b'{"seed": 1.5}',
+        b'{"seed": 1, "noise_sigma": null}',
+        b'{"seed": 1, "co_direction": [1.0], "n_images": 1, "channels": 1, "height": 2, '
+        b'"width": 2, "planted_regions": 5, "distractor_directions": [[1.0]], '
+        b'"separation_margin": 0.5, "noise_sigma": 0.0}',
+        b'\xff\xfe{"seed": 1}',
+    ], ids=["not-an-object", "string-count", "float-seed", "null-field",
+            "scalar-regions", "not-utf8"])
+    def test_bad_spec_exits_2(self, tmp_path, capsys, raw):
+        bad = tmp_path / "spec.json"
+        bad.write_bytes(raw)
+        assert main(["fixtures", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:argument:")
+
 
 class TestGradcheck:
     def test_gradcheck_passes(self, capsys):
@@ -272,3 +325,7 @@ class TestGradcheck:
 
     def test_bad_trials_exits_2(self):
         assert main(["gradcheck", "--trials", "0"]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error:argument:")

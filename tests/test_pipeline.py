@@ -8,13 +8,16 @@ from corp import (
     PipelineConfig,
     ShapeError,
     compute_proxy,
+    correlation_transform,
     generate_fixture,
     proxy_from_ground_truth,
     random_fixture_spec,
     resize_map_group,
     run_pipeline,
+    score_all,
 )
 from corp.errors import DecoderNotFoundError
+from corp.oracles import oracle_correlation_transform, oracle_search
 from corp.pipeline import IterationRecord, IterationTrace
 from conftest import random_feature_group, random_map_group
 
@@ -131,28 +134,31 @@ class TestRunPipeline:
         import subprocess
         import sys
 
+        # The shipped wide shape, large enough for BLAS to split the
+        # correlation-transform matmul across threads.
         snippet = (
             "import hashlib, numpy as np\n"
             "from corp import FeatureGroup, MapGroup, PipelineConfig, run_pipeline\n"
             "rng = np.random.default_rng(4242)\n"
-            "raw = rng.standard_normal((4, 16, 12, 12)).astype(np.float32)\n"
+            "raw = rng.standard_normal((20, 512, 28, 28), dtype=np.float32)\n"
             "fg = FeatureGroup.from_tensors(list(raw), normalize=True)\n"
-            "init = MapGroup(rng.random((4, 12, 12)).astype(np.float32))\n"
-            "tr = run_pipeline(fg, init, PipelineConfig(k=8))\n"
+            "init = MapGroup(rng.random((20, 28, 28), dtype=np.float32))\n"
+            "tr = run_pipeline(fg, init, PipelineConfig(k=45, iters=6), keep_scores=True)\n"
             "h = hashlib.sha256()\n"
             "for r in tr.records:\n"
-            "    h.update(r.maps.maps.tobytes())\n"
-            "    h.update(r.proxy.vec.tobytes())\n"
+            "    for a in (r.maps.maps, r.proxy.vec, r.corep.coords, r.scores):\n"
+            "        h.update(a.tobytes())\n"
             "print(h.hexdigest())\n"
         )
         digests = set()
-        for threads in ("1", "4"):
+        for threads in ("1", "2", "4"):
             env = dict(
                 os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                 MKL_NUM_THREADS=threads,
             )
             out = subprocess.run(
-                [sys.executable, "-c", snippet], env=env, capture_output=True, text=True
+                [sys.executable, "-c", snippet], env=env, capture_output=True, text=True,
+                timeout=300,
             )
             assert out.returncode == 0, out.stderr
             digests.add(out.stdout.strip())
@@ -272,3 +278,23 @@ class TestResizeMapGroup:
         out = resize_map_group(mg, 4, 4)
         assert out.maps.shape == (2, 4, 4)
         assert out.maps.min() >= 0.0 and out.maps.max() <= 1.0
+
+
+class TestShippedScale:
+    @pytest.mark.parametrize("k, iters", [(32, 3), (45, 6)])
+    def test_every_iteration_matches_the_oracles(self, k, iters):
+        # Realistic depth with few pixels, so the pure-Python oracles stay fast.
+        rng = np.random.default_rng(k)
+        fg = random_feature_group(rng, n=3, d=256, h=5, w=5)
+        init = random_map_group(rng, n=3, h=5, w=5)
+        trace = run_pipeline(fg, init, PipelineConfig(k=k, iters=iters), keep_scores=True)
+        assert len(trace) == iters
+        for rec in trace.records:
+            coords, _, picked = oracle_search(fg, rec.proxy.vec.tolist(), k)
+            assert [tuple(c) for c in rec.corep.coords.tolist()] == coords
+            assert rec.corep.scores.tolist() == picked
+            assert rec.scores.tobytes() == score_all(fg, rec.proxy).tobytes()
+            stack = correlation_transform(fg, rec.proxy, rec.corep, scores=rec.scores)
+            ref = np.asarray(oracle_correlation_transform(fg, rec.proxy.vec, rec.corep.embeddings))
+            assert np.abs(stack.maps - ref).max() <= 1e-5
+

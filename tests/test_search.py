@@ -122,6 +122,25 @@ class TestSearchCorepresentation:
         counts = np.bincount(corep.coords[:, 0], minlength=2)
         assert counts.max() <= 3 and corep.k == 6
 
+    def test_per_image_cap_matches_greedy_loop(self, rng):
+        # Reference: walk locations in score order (ties to the smaller
+        # index), skipping images that already gave per_image_cap of them.
+        for _ in range(200):
+            n, h, w = (int(v) for v in rng.integers(1, 4, size=3))
+            fg = random_feature_group(rng, n=n, d=3, h=h, w=w)
+            p = Proxy(np.array([1.0, 0.0, 0.0]))
+            scores = np.round(rng.random(n * h * w), 1)  # coarse grid provokes ties
+            cap = int(rng.integers(1, h * w + 1))
+            k = int(rng.integers(1, cap * n + 1))
+            taken, picked = [0] * n, []
+            for flat in sorted(range(n * h * w), key=lambda i: (-scores[i], i)):
+                if taken[flat // (h * w)] < cap and len(picked) < k:
+                    taken[flat // (h * w)] += 1
+                    picked.append(flat)
+            corep = search_corepresentation(fg, p, k, per_image_cap=cap, scores=scores)
+            flat_idx = (corep.coords[:, 0] * h + corep.coords[:, 1]) * w + corep.coords[:, 2]
+            assert flat_idx.tolist() == picked
+
     def test_per_image_cap_too_tight(self, rng):
         fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
         vec = rng.standard_normal(4)
@@ -214,6 +233,22 @@ class TestCorrelationTransform:
         corep = CoRepresentation(np.array([[1.0, 0.0]]), np.array([[0, 0, 0]]), np.array([1.0]))
         with pytest.raises(ShapeError):
             correlation_transform(fg, p, corep)
+
+
+class TestSharedScores:
+    def test_given_scores_change_nothing(self, rng):
+        for dtype in (np.float32, np.float64):
+            fg = random_feature_group(rng, n=3, d=8, h=6, w=6, dtype=dtype)
+            vec = rng.standard_normal(8)
+            p = Proxy(vec / np.linalg.norm(vec))
+            scores = score_all(fg, p)
+            corep = search_corepresentation(fg, p, 5)
+            shared = search_corepresentation(fg, p, 5, scores=scores)
+            assert np.array_equal(shared.coords, corep.coords)
+            assert np.array_equal(shared.scores, corep.scores)
+            own = correlation_transform(fg, p, corep).maps
+            given = correlation_transform(fg, p, corep, scores=scores).maps
+            assert own.tobytes() == given.tobytes()
 
 
 class TestPurityProportion:

@@ -7,6 +7,7 @@ from corp import read_map_pgm, read_tensor, write_map_pgm, write_tensor
 from corp.errors import (
     ArgumentError,
     BadMagicError,
+    FormatError,
     PgmFormatError,
     RangeViolationError,
     ShapeError,
@@ -77,6 +78,21 @@ class TestCrpt:
         path = tmp_path / "x.crpt"
         path.write_bytes(b"CRPT" + bytes([1, 1, 1]) + struct.pack("<I", 0))
         with pytest.raises(TruncatedPayloadError):
+            read_tensor(path)
+
+    def test_extent_product_does_not_wrap(self, tmp_path):
+        # 2**31 * 2**31 * 4 elements wrap a 64-bit product to 0, which would
+        # match this 19-byte file's empty payload.
+        path = tmp_path / "x.crpt"
+        path.write_bytes(b"CRPT" + bytes([1, 1, 3]) + struct.pack("<3I", 2 ** 31, 2 ** 31, 4))
+        with pytest.raises(TruncatedPayloadError, match="got 0"):
+            read_tensor(path)
+
+    def test_zero_ndim_rejected(self, tmp_path):
+        # The writer refuses 0-d tensors, so the reader does too.
+        path = tmp_path / "x.crpt"
+        path.write_bytes(b"CRPT" + bytes([1, 1, 0]) + bytes(4))
+        with pytest.raises(FormatError, match="ndim"):
             read_tensor(path)
 
     def test_integer_tensor_rejected_on_write(self, tmp_path):

@@ -28,6 +28,15 @@ class TestFeatureGroup:
         with pytest.raises(RangeViolationError, match=r"row=1, col=1"):
             FeatureGroup(arr)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_embedding(self, bad):
+        arr = np.zeros((2, 2, 2, 2), dtype=np.float32)
+        arr[:, 0] = 1.0
+        arr[1, 1, 0, 1] = bad
+        with pytest.raises(RangeViolationError, match=r"image=1, row=0, col=1") as info:
+            FeatureGroup(arr)
+        assert info.value.image == 1
+
     def test_allows_exact_zero_embedding(self):
         arr = np.zeros((1, 2, 1, 2), dtype=np.float32)
         arr[0, 0, 0, 0] = 1.0
