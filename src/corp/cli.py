@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import tempfile
@@ -172,9 +171,11 @@ def _write_trace(out_dir: Path, stems: list[str], trace) -> None:
 def _dump_scores(path: Path, stems: list[str], trace, height: int, width: int) -> None:
     rows = ["iteration,image,row,col,score"]
     for rec in trace.records:
-        cells = itertools.product(stems, range(height), range(width))
-        rows += [f"{rec.iteration},{stem},{y},{x},{v:.17g}"
-                 for (stem, y, x), v in zip(cells, rec.scores.tolist())]
+        scores = rec.scores.reshape(len(stems), height, width)
+        for i, stem in enumerate(stems):
+            for y in range(height):
+                for x in range(width):
+                    rows.append(f"{rec.iteration},{stem},{y},{x},{scores[i, y, x]:.17g}")
     _atomic_text(path, "".join(r + "\n" for r in rows))
 
 
@@ -245,12 +246,12 @@ def cmd_fixtures(args) -> int:
         else:
             kwargs = {k: payload[k] for k in _SPEC_GEN_KEYS if k in payload}
             spec = random_fixture_spec(payload["seed"], **kwargs)
-        features, gt, init = generate_fixture(spec)
     except KeyError as exc:
         raise ArgumentError(f"{spec_path}: missing field {exc}") from None
     except TypeError as exc:
         # Every value here comes from the spec, so this is a field of the wrong type.
         raise ArgumentError(f"{spec_path}: spec field of the wrong type ({exc})") from None
+    features, gt, init = generate_fixture(spec)
     out = Path(args.out)
     for sub in ("features", "gt", "init"):
         (out / sub).mkdir(parents=True, exist_ok=True)

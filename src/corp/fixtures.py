@@ -18,7 +18,8 @@ noise_sigma > 0) D gaussians; inside pixels skip the direction draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,6 +85,16 @@ class FixtureSpec:
     init_mode: str = "dilated"
 
     def __post_init__(self):
+        counts = (self.seed, self.n_images, self.channels, self.height, self.width)
+        if not all(isinstance(v, numbers.Integral) for v in counts):
+            raise ArgumentError("seed, n_images, channels, height and width must be integers")
+        if not _rows_of(self.planted_regions, numbers.Integral, 4):
+            raise ArgumentError("planted_regions must hold (row0, col0, height, width) integers")
+        if not (_rows_of((self.co_direction,), numbers.Real)
+                and _rows_of(self.distractor_directions, numbers.Real)):
+            raise ArgumentError("co_direction and distractor_directions must be number vectors")
+        if not all(isinstance(v, numbers.Real) for v in (self.separation_margin, self.noise_sigma)):
+            raise ArgumentError("separation_margin and noise_sigma must be numbers")
         if self.n_images < 1 or self.channels < 1 or self.height < 1 or self.width < 1:
             raise ArgumentError("n_images, channels, height and width must all be >= 1")
         if len(self.planted_regions) != self.n_images:
@@ -126,6 +137,18 @@ class FixtureSpec:
                     f"distractor {j} overlaps the co-direction by {overlap:.4f}, "
                     f"limit is {1.0 - self.separation_margin:.4f}"
                 )
+
+
+def _rows_of(rows, kind, length: int | None = None) -> bool:
+    """Whether ``rows`` is a sequence of sequences of ``kind`` values, each
+    ``length`` long when given."""
+    try:
+        return all(
+            (length is None or len(r) == length) and all(isinstance(v, kind) for v in r)
+            for r in rows
+        )
+    except TypeError:
+        return False
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -259,3 +282,8 @@ def _check_separation(feats: np.ndarray, gt: np.ndarray) -> None:
             f"<= max out-region score {max_out:.6f}); lower noise_sigma or raise "
             "separation_margin"
         )
+
+
+def with_seed(spec: FixtureSpec, seed: int) -> FixtureSpec:
+    """Copy of a spec with a different seed."""
+    return replace(spec, seed=seed)

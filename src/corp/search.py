@@ -36,8 +36,8 @@ def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
     flat = features.embeddings.reshape(n, d, h * w)
     acc = np.zeros((n, h * w), dtype=np.float64)
     for c in range(d):
-        # proxy.vec[c] is a numpy float64, so float32 channels multiply into float64.
-        acc += proxy.vec[c] * flat[:, c, :]
+        # The float64 loop is explicit: scalar promotion rules differ across numpy versions.
+        acc += np.multiply(proxy.vec[c], flat[:, c, :], dtype=np.float64)
     return acc.reshape(-1)
 
 
@@ -46,7 +46,7 @@ def search_corepresentation(
     proxy: Proxy,
     k: int,
     per_image_cap: int | None = None,
-    scores=None,
+    scores: np.ndarray | None = None,
 ) -> CoRepresentation:
     """Select the k locations best correlated with the proxy and gather them.
 
@@ -67,11 +67,18 @@ def search_corepresentation(
             )
         if not 1 <= k <= scores.shape[0]:
             raise ArgumentError(f"k must be in [1, {scores.shape[0]}], got {k}")
-        # In score order, keep the locations ranked below the cap within their image.
         order = np.argsort(-scores, kind="stable")
-        rank = np.empty_like(order)
-        rank[np.argsort(order // (h * w), kind="stable")] = np.tile(np.arange(h * w), n)
-        idx = order[rank < per_image_cap][:k]
+        taken = np.zeros(n, dtype=np.int64)
+        picked = []
+        for flat_i in order:
+            img = int(flat_i) // (h * w)
+            if taken[img] >= per_image_cap:
+                continue
+            taken[img] += 1
+            picked.append(int(flat_i))
+            if len(picked) == k:
+                break
+        idx = np.asarray(picked, dtype=np.int64)
     imgs = idx // (h * w)
     rows = (idx % (h * w)) // w
     cols = idx % w
@@ -81,7 +88,10 @@ def search_corepresentation(
 
 
 def correlation_transform(
-    features: FeatureGroup, proxy: Proxy, corep: CoRepresentation, scores=None
+    features: FeatureGroup,
+    proxy: Proxy,
+    corep: CoRepresentation,
+    scores: np.ndarray | None = None,
 ) -> CorrelationMapStack:
     """Convert each image into K correlation maps.
 

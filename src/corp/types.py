@@ -89,6 +89,9 @@ class FeatureGroup:
     def width(self) -> int:
         return self.embeddings.shape[3]
 
+    def image(self, n: int) -> np.ndarray:
+        return self.embeddings[n]
+
     @cached_property
     def embeddings64(self) -> np.ndarray:
         """Float64 copy of the embeddings, made on first use; corp never reads it."""
@@ -136,6 +139,9 @@ class MapGroup:
     @property
     def width(self) -> int:
         return self.maps.shape[2]
+
+    def map(self, n: int) -> np.ndarray:
+        return self.maps[n]
 
     def binarized(self, threshold: float = 0.5) -> "MapGroup":
         return MapGroup(np.where(self.maps >= threshold, 1.0, 0.0).astype(self.maps.dtype))

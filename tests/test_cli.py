@@ -308,9 +308,15 @@ class TestFixturesCommand:
         b'{"seed": 1, "co_direction": [1.0], "n_images": 1, "channels": 1, "height": 2, '
         b'"width": 2, "planted_regions": 5, "distractor_directions": [[1.0]], '
         b'"separation_margin": 0.5, "noise_sigma": 0.0}',
+        b'{"seed": 1, "co_direction": [1.0, 0.0], "n_images": 1, "channels": 2, "height": 4, '
+        b'"width": 4, "planted_regions": [[0, 0]], "distractor_directions": [[0.0, 1.0]], '
+        b'"separation_margin": 0.5, "noise_sigma": 0.0}',
+        b'{"seed": 1.5, "co_direction": [1.0, 0.0], "n_images": 1, "channels": 2, "height": 4, '
+        b'"width": 4, "planted_regions": [[0, 0, 2, 2]], "distractor_directions": [[0.0, 1.0]], '
+        b'"separation_margin": 0.5, "noise_sigma": 0.0}',
         b'\xff\xfe{"seed": 1}',
     ], ids=["not-an-object", "string-count", "float-seed", "null-field",
-            "scalar-regions", "not-utf8"])
+            "scalar-regions", "short-region", "explicit-float-seed", "not-utf8"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, raw):
         bad = tmp_path / "spec.json"
         bad.write_bytes(raw)

@@ -76,6 +76,27 @@ class TestFixtureSpecValidation:
                 separation_margin=0.5, noise_sigma=0.0,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("planted_regions", ((0, 0),)),
+        ("planted_regions", ((0, 0, 2, "2"),)),
+        ("planted_regions", (5,)),
+        ("co_direction", ("1", "0")),
+        ("seed", 1.5),
+        ("n_images", "1"),
+        ("noise_sigma", None),
+    ])
+    def test_wrong_field_type_or_shape_rejected(self, field, value):
+        fields = dict(
+            seed=1, n_images=1, channels=2, height=4, width=4,
+            planted_regions=((0, 0, 2, 2),),
+            co_direction=(1.0, 0.0),
+            distractor_directions=((0.0, 1.0),),
+            separation_margin=0.5, noise_sigma=0.0,
+        )
+        fields[field] = value
+        with pytest.raises(ArgumentError):
+            FixtureSpec(**fields)
+
 
 class TestGenerateFixture:
     def test_same_spec_same_bytes(self):

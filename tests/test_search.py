@@ -122,25 +122,6 @@ class TestSearchCorepresentation:
         counts = np.bincount(corep.coords[:, 0], minlength=2)
         assert counts.max() <= 3 and corep.k == 6
 
-    def test_per_image_cap_matches_greedy_loop(self, rng):
-        # Reference: walk locations in score order (ties to the smaller
-        # index), skipping images that already gave per_image_cap of them.
-        for _ in range(200):
-            n, h, w = (int(v) for v in rng.integers(1, 4, size=3))
-            fg = random_feature_group(rng, n=n, d=3, h=h, w=w)
-            p = Proxy(np.array([1.0, 0.0, 0.0]))
-            scores = np.round(rng.random(n * h * w), 1)  # coarse grid provokes ties
-            cap = int(rng.integers(1, h * w + 1))
-            k = int(rng.integers(1, cap * n + 1))
-            taken, picked = [0] * n, []
-            for flat in sorted(range(n * h * w), key=lambda i: (-scores[i], i)):
-                if taken[flat // (h * w)] < cap and len(picked) < k:
-                    taken[flat // (h * w)] += 1
-                    picked.append(flat)
-            corep = search_corepresentation(fg, p, k, per_image_cap=cap, scores=scores)
-            flat_idx = (corep.coords[:, 0] * h + corep.coords[:, 1]) * w + corep.coords[:, 2]
-            assert flat_idx.tolist() == picked
-
     def test_per_image_cap_too_tight(self, rng):
         fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
         vec = rng.standard_normal(4)
