@@ -6,6 +6,11 @@ each image into k correlation maps; selection and transform share the scores.
 """
 from __future__ import annotations
 
+import ctypes
+import importlib
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
@@ -18,6 +23,63 @@ __all__ = [
     "correlation_transform",
     "purity_proportion",
 ]
+
+
+def _blas_thread_calls():
+    """(get, set) thread-count calls of the OpenBLAS that numpy links, or None."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            break
+        except (ImportError, OSError):
+            continue
+    else:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        try:
+            return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+    return None
+
+
+_BLAS_THREADS = _blas_thread_calls()
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed BLAS calls on one OpenBLAS thread, then restore the count.
+
+    Each K x D by D x H*W product in correlation_transform reads a block the
+    calling thread has just written. A second thread must fetch half of it
+    from the caller's cache, and the caller must take it back before the
+    next write. Where the two cores share no cache that costs more than the
+    second thread saves, and op times moved by a third from run to run with
+    where the host placed the threads. One thread gives the same bits. The
+    count is process-wide, so BLAS calls from other threads meanwhile run on
+    one thread too. Does nothing when numpy's BLAS is not a known OpenBLAS.
+    """
+    global _blas_users, _blas_saved
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _BLAS_THREADS
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
 
 
 def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
@@ -108,11 +170,14 @@ def correlation_transform(
     n, d, h, w = features.embeddings.shape
     s = (score_all(features, proxy) if scores is None else scores).reshape(n, h * w)
     c64 = corep.embeddings.astype(np.float64)
-    out = np.empty((n, corep.k, h, w), dtype=np.float64)
-    for i in range(n):
-        flat = features.embeddings[i].reshape(d, h * w)
-        out[i] = (c64 @ (flat * s[i])).reshape(corep.k, h, w)
-    return CorrelationMapStack(out)
+    out = np.empty((n, corep.k, h * w), dtype=np.float64)
+    scaled = np.empty((d, h * w), dtype=np.float64)
+    with _one_blas_thread():
+        for i in range(n):
+            np.copyto(scaled, features.embeddings[i].reshape(d, h * w))
+            scaled *= s[i]
+            np.matmul(c64, scaled, out=out[i])
+    return CorrelationMapStack(out.reshape(n, corep.k, h, w))
 
 
 def purity_proportion(corep: CoRepresentation, gt: MapGroup, threshold: float = 0.5) -> float:

@@ -134,8 +134,9 @@ class TestRunPipeline:
         import subprocess
         import sys
 
-        # The shipped wide shape, large enough for BLAS to split the
-        # correlation-transform matmul across threads.
+        # The shipped wide shape. correlation_transform runs its products on
+        # one OpenBLAS thread; under any other BLAS they split across threads
+        # at this size, and the remaining BLAS calls still follow the setting.
         snippet = (
             "import hashlib, numpy as np\n"
             "from corp import FeatureGroup, MapGroup, PipelineConfig, run_pipeline\n"

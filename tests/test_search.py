@@ -216,6 +216,30 @@ class TestCorrelationTransform:
             correlation_transform(fg, p, corep)
 
 
+class TestOneBlasThread:
+    def test_caps_then_restores_thread_count(self, rng):
+        from corp import search
+
+        if search._BLAS_THREADS is None:
+            pytest.skip("numpy does not link an OpenBLAS with thread control")
+        get, set_ = search._BLAS_THREADS
+        before = get()
+        try:
+            set_(2)
+            with search._one_blas_thread():
+                assert get() == 1
+                with search._one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+            assert get() == 2
+            fg = random_feature_group(rng, n=2, d=8, h=3, w=3)
+            proxy = Proxy(np.ones(8) / np.sqrt(8.0))
+            correlation_transform(fg, proxy, search_corepresentation(fg, proxy, 4))
+            assert get() == 2
+        finally:
+            set_(before)
+
+
 class TestSharedScores:
     def test_given_scores_change_nothing(self, rng):
         for dtype in (np.float32, np.float64):
