@@ -30,6 +30,10 @@ __all__ = ["SplitMix64", "FixtureSpec", "random_fixture_spec", "generate_fixture
 
 _MASK64 = (1 << 64) - 1
 INIT_MODES = ("gt", "dilated", "ones")
+# Draws random_fixture_spec makes for one distractor before it gives up. The
+# shipped specs need a few each; a margin near 1 or a single channel needs
+# more than any bound.
+MAX_DRAWS_PER_DISTRACTOR = 1000
 
 
 class SplitMix64:
@@ -86,7 +90,7 @@ class FixtureSpec:
 
     def __post_init__(self):
         counts = (self.seed, self.n_images, self.channels, self.height, self.width)
-        if not all(isinstance(v, numbers.Integral) for v in counts):
+        if not all(_is_int(v) for v in counts):
             raise ArgumentError("seed, n_images, channels, height and width must be integers")
         if not _rows_of(self.planted_regions, numbers.Integral, 4):
             raise ArgumentError("planted_regions must hold (row0, col0, height, width) integers")
@@ -139,6 +143,11 @@ class FixtureSpec:
                 )
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool: JSON ``true`` is no count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _rows_of(rows, kind, length: int | None = None) -> bool:
     """Whether ``rows`` is a sequence of sequences of ``kind`` values, each
     ``length`` long when given."""
@@ -170,16 +179,28 @@ def random_fixture_spec(
     """Derive a complete spec from a seed.
 
     Directions come from the seeded generator; distractors are drawn by
-    rejection until they respect the separation margin. Rectangles land at
-    seeded positions, one per image.
+    rejection until they respect the separation margin, at most
+    ``MAX_DRAWS_PER_DISTRACTOR`` draws each. Rectangles land at seeded
+    positions, one per image.
     """
+    if not _is_int(n_distractors):
+        raise ArgumentError(f"n_distractors must be an integer, got {n_distractors!r}")
+    if not isinstance(separation_margin, numbers.Real) or not 0.0 < separation_margin < 1.0:
+        raise ArgumentError(f"separation_margin must be in (0, 1), got {separation_margin!r}")
     rng = SplitMix64(seed)
     co = _unit(np.asarray(rng.gaussians(channels)))
     distractors = []
-    while len(distractors) < n_distractors:
-        d = _unit(np.asarray(rng.gaussians(channels)))
-        if abs(float(np.dot(co, d))) <= 1.0 - separation_margin:
-            distractors.append(tuple(d.tolist()))
+    for _ in range(n_distractors):
+        for _ in range(MAX_DRAWS_PER_DISTRACTOR):
+            d = _unit(np.asarray(rng.gaussians(channels)))
+            if abs(float(np.dot(co, d))) <= 1.0 - separation_margin:
+                distractors.append(tuple(d.tolist()))
+                break
+        else:
+            raise ArgumentError(
+                f"no distractor within separation_margin {separation_margin} after "
+                f"{MAX_DRAWS_PER_DISTRACTOR} draws in {channels} channels; lower the margin"
+            )
     if region_size > height or region_size > width:
         raise ArgumentError(f"region_size {region_size} exceeds the {height}x{width} grid")
     regions = []

@@ -2,6 +2,11 @@
 
 The encoder features stay fixed; only the maps feeding the proxy change from
 iteration to iteration. Every iteration is recorded in a trace.
+
+Per-image work (the proxy's masked sums, the correlation maps) is split by
+image over the OpenBLAS thread budget (``corp.search._by_image``); sums over
+images and the top-k stay on the calling thread, so the bits never depend on
+the split.
 """
 from __future__ import annotations
 
@@ -12,8 +17,15 @@ import numpy as np
 
 from .decoder import DecoderFn, get_decoder
 from .errors import ArgumentError, ShapeError
-from .search import correlation_transform, purity_proportion, score_all, search_corepresentation
-from .tensor import bilinear_resize, masked_gap
+from .search import (
+    _blas_budget,
+    _by_image,
+    correlation_transform,
+    purity_proportion,
+    score_all,
+    search_corepresentation,
+)
+from .tensor import _masked_gap, bilinear_resize
 from .types import (
     CoRepresentation,
     FeatureGroup,
@@ -86,8 +98,9 @@ def compute_proxy(
     """Masked average of the group features, Euclidean-normalized.
 
     Per image the mask-weighted average embedding is taken over the full
-    grid; per-channel sums over images use exact (correctly rounded)
-    summation, so the result is independent of image order. If the masked
+    grid, split by image across threads; per-channel sums over images use
+    exact (correctly rounded) summation on the calling thread, so the result
+    is independent of image order and of the split. If the masked
     average has norm below ``eps`` the proxy falls back to an unmasked (all
     ones) average and is flagged degenerate.
     """
@@ -107,12 +120,19 @@ def compute_proxy(
 
 
 def _masked_average(features: FeatureGroup, masks: np.ndarray) -> tuple[np.ndarray, float]:
-    gaps = [masked_gap(features.embeddings[n], masks[n]) for n in range(features.n_images)]
-    n = features.n_images
-    raw = np.array(
-        [math.fsum(g[d] for g in gaps) / n for d in range(features.channels)],
-        dtype=np.float64,
-    )
+    n, d, h, w = features.embeddings.shape
+    flat = features.embeddings.reshape(n, d, h * w)
+    masks64 = np.asarray(masks, dtype=np.float64).reshape(n, h * w)
+    gaps = np.empty((n, d), dtype=np.float64)
+    workers = _blas_budget()
+    scratch = np.empty((min(workers, n), d, h * w), dtype=np.float64)
+
+    def part(wk, lo, hi):
+        for i in range(lo, hi):
+            gaps[i] = _masked_gap(flat[i], masks64[i], scratch[wk])
+
+    _by_image(n, workers, part)
+    raw = np.array([math.fsum(row) / n for row in gaps.T.tolist()], dtype=np.float64)
     return raw, float(np.sqrt((raw * raw).sum()))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import ctypes
 import importlib
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,6 +49,8 @@ _BLAS_THREADS = _blas_thread_calls()
 _blas_lock = threading.Lock()
 _blas_users = 0
 _blas_saved = 1
+# Threads start on first use, and only as many as parts are waiting.
+_POOL = ThreadPoolExecutor(thread_name_prefix="corp-image")
 
 
 @contextmanager
@@ -80,6 +83,38 @@ def _one_blas_thread():
             _blas_users -= 1
             if _blas_users == 0:
                 set_(_blas_saved)
+
+
+def _blas_budget() -> int:
+    """OpenBLAS thread count in force outside ``_one_blas_thread``; 1 without one."""
+    if _BLAS_THREADS is None:
+        return 1
+    with _blas_lock:
+        return _blas_saved if _blas_users else _BLAS_THREADS[0]()
+
+
+def _by_image(n: int, workers: int, part) -> None:
+    """Call ``part(w, lo, hi)`` on contiguous image ranges [lo, hi) covering 0..n.
+
+    There are ``min(workers, n)`` ranges, at least one image each; range w
+    may use row w of a scratch array the caller allocated. The calling
+    thread runs range 0 and the module pool the rest. Returns, or raises the
+    first exception in range order, only once every range has finished, so
+    no part still writes into the caller's arrays afterwards. Parts call
+    numpy only: the benchmark's spans around corp functions assume one call
+    stack.
+    """
+    workers = max(1, min(workers, n))
+    bounds = [n * w // workers for w in range(workers + 1)]
+    futures = []
+    try:
+        for w in range(1, workers):
+            futures.append(_POOL.submit(part, w, bounds[w], bounds[w + 1]))
+        part(0, bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
@@ -160,7 +195,8 @@ def correlation_transform(
     Per image: scale each pixel embedding by its proxy score, then take
     inner products with all K selected embeddings. Output shape is
     (N, K, H, W). ``scores`` is ``score_all(features, proxy)`` when the
-    caller already has it.
+    caller already has it. Images are split over as many threads as numpy's
+    OpenBLAS may use (``_blas_budget``), each product on one BLAS thread.
     """
     if proxy.dim != features.channels or corep.dim != features.channels:
         raise ShapeError(
@@ -169,15 +205,22 @@ def correlation_transform(
         )
     n, d, h, w = features.embeddings.shape
     s = (score_all(features, proxy) if scores is None else scores).reshape(n, h * w)
+    flat = features.embeddings.reshape(n, d, h * w)
     c64 = corep.embeddings.astype(np.float64)
     out = np.empty((n, corep.k, h * w), dtype=np.float64)
-    scaled = np.empty((d, h * w), dtype=np.float64)
+    workers = _blas_budget()
+    scaled = np.empty((min(workers, n), d, h * w), dtype=np.float64)
+
+    def part(wk, lo, hi):
+        buf = scaled[wk]
+        for i in range(lo, hi):
+            np.copyto(buf, flat[i])
+            buf *= s[i]
+            np.matmul(c64, buf, out=out[i])
+
     with _one_blas_thread():
-        for i in range(n):
-            np.copyto(scaled, features.embeddings[i].reshape(d, h * w))
-            scaled *= s[i]
-            np.matmul(c64, scaled, out=out[i])
-    return CorrelationMapStack(out.reshape(n, corep.k, h, w))
+        _by_image(n, workers, part)
+    return CorrelationMapStack(out.reshape(n, corep.k, h, w), _adopt=True)
 
 
 def purity_proportion(corep: CoRepresentation, gt: MapGroup, threshold: float = 0.5) -> float:

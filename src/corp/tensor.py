@@ -85,9 +85,19 @@ def masked_gap(feat: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"feature shape {feat.shape} incompatible with mask shape {mask.shape}"
         )
-    prod = feat.astype(np.float64, copy=False) * mask.astype(np.float64, copy=False)
-    h, w = mask.shape
-    return prod.reshape(feat.shape[0], -1).sum(axis=1) / float(h * w)
+    d, hw = feat.shape[0], mask.size
+    mask64 = mask.astype(np.float64, copy=False).reshape(hw)
+    return _masked_gap(feat.reshape(d, hw), mask64, np.empty((d, hw), dtype=np.float64))
+
+
+def _masked_gap(feat: np.ndarray, mask: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """masked_gap without checks: ``feat`` (D, H*W), ``mask`` (H*W,) float64.
+
+    ``buf`` is (D, H*W) float64 scratch that the call overwrites. Calls numpy
+    only, so it may run on a worker thread.
+    """
+    np.multiply(feat, mask, out=buf)
+    return buf.sum(axis=1) / float(buf.shape[1])
 
 
 def bilinear_resize(m: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

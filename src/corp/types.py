@@ -5,7 +5,8 @@ instances can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -230,23 +231,32 @@ class CorrelationMapStack:
     """
 
     maps: np.ndarray
+    # True only from code that built ``maps`` itself and hands it over: it is
+    # frozen in place instead of copied.
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         arr = np.asarray(self.maps, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"expected (N, K, H, W) stack, got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ShapeError(f"all extents must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # A NaN or an infinity reaches the max or the min.
+        hi, lo = float(arr.max()), float(arr.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise RangeViolationError("correlation stack contains non-finite values")
-        peak = float(np.abs(arr).max())
+        peak = max(hi, -lo)
         if peak > 1.0 + CORRELATION_SLACK:
             n, k, h, w = np.argwhere(np.abs(arr) == peak)[0]
             raise RangeViolationError(
                 f"correlation value {arr[n, k, h, w]:.6g} at (image={n}, channel={k}, "
                 f"row={h}, col={w}) exceeds [-1, 1] + {CORRELATION_SLACK}"
             )
-        object.__setattr__(self, "maps", _frozen(arr))
+        if _adopt:
+            arr.setflags(write=False)
+        else:
+            arr = _frozen(arr)
+        object.__setattr__(self, "maps", arr)
 
     @property
     def n_images(self) -> int:

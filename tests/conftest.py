@@ -1,7 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import corp
 from corp import FeatureGroup, MapGroup
+
+
+def subprocess_env(**overrides) -> dict:
+    """Environment for a child interpreter that imports this checkout's corp."""
+    src = str(Path(corp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **overrides}
 
 
 def random_feature_group(rng, n=2, d=6, h=5, w=5, dtype=np.float32) -> FeatureGroup:

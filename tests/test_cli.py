@@ -1,11 +1,14 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from corp import generate_fixture, random_fixture_spec, read_map_pgm, write_map_pgm, write_tensor
 from corp.cli import main
+from conftest import subprocess_env
 
 
 @pytest.fixture
@@ -315,13 +318,34 @@ class TestFixturesCommand:
         b'"width": 4, "planted_regions": [[0, 0, 2, 2]], "distractor_directions": [[0.0, 1.0]], '
         b'"separation_margin": 0.5, "noise_sigma": 0.0}',
         b'\xff\xfe{"seed": 1}',
+        b'{"seed": 1, "n_images": true}',
     ], ids=["not-an-object", "string-count", "float-seed", "null-field",
-            "scalar-regions", "short-region", "explicit-float-seed", "not-utf8"])
+            "scalar-regions", "short-region", "explicit-float-seed", "not-utf8", "bool-images"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, raw):
         bad = tmp_path / "spec.json"
         bad.write_bytes(raw)
         assert main(["fixtures", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:argument:")
+
+
+    @pytest.mark.parametrize("raw", [
+        b'{"seed": 1, "separation_margin": 0.9999999}',
+        b'{"seed": 1, "channels": 1}',
+        b'{"seed": 1, "separation_margin": NaN}',
+        b'{"seed": 1, "separation_margin": 1}',
+        b'{"seed": 1, "n_distractors": 2.5}',
+        b'{"seed": 1, "n_distractors": true}',
+    ], ids=["margin-near-1", "one-channel", "nan-margin", "margin-1", "float-count", "bool-count"])
+    def test_generated_spec_ends_without_hang(self, tmp_path, raw):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(raw)
+        out = subprocess.run(
+            [sys.executable, "-m", "corp.cli", "fixtures", "--spec", str(spec),
+             "--out", str(tmp_path / "o")],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:argument:") and out.stderr.count("\n") == 1
 
 
 class TestGradcheck:

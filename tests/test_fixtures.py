@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,7 @@ class TestFixtureSpecValidation:
         ("co_direction", ("1", "0")),
         ("seed", 1.5),
         ("n_images", "1"),
+        ("n_images", True),
         ("noise_sigma", None),
     ])
     def test_wrong_field_type_or_shape_rejected(self, field, value):
@@ -96,6 +99,30 @@ class TestFixtureSpecValidation:
         fields[field] = value
         with pytest.raises(ArgumentError):
             FixtureSpec(**fields)
+
+
+class TestRandomFixtureSpec:
+    def test_shipped_specs_unchanged(self):
+        # The README spec and one of the CLI tests; the draw bound must not move a byte.
+        specs = [random_fixture_spec(7), random_fixture_spec(33, n_images=2, channels=4, height=6, width=6)]
+        digest = hashlib.sha256(repr(specs).encode()).hexdigest()
+        assert digest == "921314de74042772e87877239373f9ea1b4fbd21e25de6490cf53e19b8029595"
+
+    @pytest.mark.parametrize("margin", [0.0, 1.0, -0.5, 1.5, float("nan"), "0.5"])
+    def test_margin_outside_unit_interval(self, margin):
+        with pytest.raises(ArgumentError, match="separation_margin"):
+            random_fixture_spec(1, separation_margin=margin)
+
+    @pytest.mark.parametrize("count", [2.5, True, "3"])
+    def test_non_integer_distractor_count(self, count):
+        with pytest.raises(ArgumentError, match="n_distractors"):
+            random_fixture_spec(1, n_distractors=count)
+
+    @pytest.mark.parametrize("kwargs", [{"separation_margin": 0.9999999}, {"channels": 1}])
+    def test_unreachable_margin_gives_up(self, kwargs):
+        # One channel makes every cosine +-1, so no draw can ever pass.
+        with pytest.raises(ArgumentError, match="draws"):
+            random_fixture_spec(1, **kwargs)
 
 
 class TestGenerateFixture:

@@ -19,7 +19,7 @@ from corp import (
 from corp.errors import DecoderNotFoundError
 from corp.oracles import oracle_correlation_transform, oracle_search
 from corp.pipeline import IterationRecord, IterationTrace
-from conftest import random_feature_group, random_map_group
+from conftest import random_feature_group, random_map_group, subprocess_env
 
 
 def single_pixel_group(embedding):
@@ -130,39 +130,41 @@ class TestRunPipeline:
             assert np.array_equal(a.corep.coords, b.corep.coords)
 
     def test_bit_identical_across_thread_counts(self):
-        import os
         import subprocess
         import sys
 
-        # The shipped wide shape. correlation_transform runs its products on
-        # one OpenBLAS thread; under any other BLAS they split across threads
-        # at this size, and the remaining BLAS calls still follow the setting.
+        # The shipped wide shape, plus one and three images so that the split
+        # by image gives one range and then ranges of unequal length. Images
+        # are split over as many threads as OpenBLAS may use, each running its
+        # products on one OpenBLAS thread; under any other BLAS they run on
+        # the calling thread, and the remaining BLAS calls follow the setting.
         snippet = (
             "import hashlib, numpy as np\n"
             "from corp import FeatureGroup, MapGroup, PipelineConfig, run_pipeline\n"
-            "rng = np.random.default_rng(4242)\n"
-            "raw = rng.standard_normal((20, 512, 28, 28), dtype=np.float32)\n"
-            "fg = FeatureGroup.from_tensors(list(raw), normalize=True)\n"
-            "init = MapGroup(rng.random((20, 28, 28), dtype=np.float32))\n"
-            "tr = run_pipeline(fg, init, PipelineConfig(k=45, iters=6), keep_scores=True)\n"
-            "h = hashlib.sha256()\n"
-            "for r in tr.records:\n"
-            "    for a in (r.maps.maps, r.proxy.vec, r.corep.coords, r.scores):\n"
-            "        h.update(a.tobytes())\n"
-            "print(h.hexdigest())\n"
+            "for n, d, hw, k, t in ((20, 512, 28, 45, 6), (1, 64, 12, 16, 3), (3, 64, 12, 16, 3)):\n"
+            "    rng = np.random.default_rng(4242)\n"
+            "    raw = rng.standard_normal((n, d, hw, hw), dtype=np.float32)\n"
+            "    fg = FeatureGroup.from_tensors(list(raw), normalize=True)\n"
+            "    init = MapGroup(rng.random((n, hw, hw), dtype=np.float32))\n"
+            "    tr = run_pipeline(fg, init, PipelineConfig(k=k, iters=t), keep_scores=True)\n"
+            "    h = hashlib.sha256()\n"
+            "    for r in tr.records:\n"
+            "        for a in (r.maps.maps, r.proxy.vec, r.corep.coords, r.scores):\n"
+            "            h.update(a.tobytes())\n"
+            "    print(n, h.hexdigest())\n"
         )
         digests = set()
         for threads in ("1", "2", "4"):
-            env = dict(
-                os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                MKL_NUM_THREADS=threads,
+            env = subprocess_env(
+                OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
             )
             out = subprocess.run(
                 [sys.executable, "-c", snippet], env=env, capture_output=True, text=True,
                 timeout=300,
             )
             assert out.returncode == 0, out.stderr
-            digests.add(out.stdout.strip())
+            assert len(out.stdout.split()) == 6
+            digests.add(out.stdout)
         assert len(digests) == 1
 
     def test_fixed_point_propagates(self, rng):
@@ -258,6 +260,79 @@ class TestRunPipeline:
         t_soft = run_pipeline(fg, init, PipelineConfig(k=8, iters=1))
         t_bin = run_pipeline(fg, init, PipelineConfig(k=8, iters=1, binarize_maps=True))
         assert t_soft.records[0].maps.maps.shape == t_bin.records[0].maps.maps.shape
+
+
+class TestTracerContract:
+    def test_public_calls_stay_on_the_calling_thread(self, rng, monkeypatch):
+        # The benchmark's spans wrap public corp functions and type
+        # constructors and assume one call stack, so image workers may call
+        # numpy only. Wrap every public function (in each module that holds
+        # it) and every type's validation, and record the calling thread.
+        import dataclasses
+        import functools
+        import inspect
+        import sys
+        import threading
+
+        from corp import pipeline, search
+
+        if search._BLAS_THREADS is None:
+            pytest.skip("numpy does not link an OpenBLAS with thread control")
+        calls, part_threads = [], []
+
+        def recording(fn):
+            @functools.wraps(fn)
+            def wrapped(*args, **kwargs):
+                calls.append((fn.__qualname__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "corp"]
+        seen = set()
+        for mod in modules:
+            for name in getattr(mod, "__all__", ()):
+                obj = getattr(mod, name)
+                if id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                if inspect.isfunction(obj):
+                    wrapped = recording(obj)
+                    for m in modules:
+                        for attr, value in list(vars(m).items()):
+                            if value is obj:
+                                monkeypatch.setattr(m, attr, wrapped)
+                elif dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__"):
+                    monkeypatch.setattr(obj, "__post_init__", recording(obj.__post_init__))
+
+        by_image = search._by_image
+
+        def recording_by_image(n, workers, part):
+            def recorded(*args):
+                part_threads.append(threading.get_ident())
+                return part(*args)
+            return by_image(n, workers, recorded)
+
+        monkeypatch.setattr(search, "_by_image", recording_by_image)
+        monkeypatch.setattr(pipeline, "_by_image", recording_by_image)
+        get, set_ = search._BLAS_THREADS
+        before = get()
+        try:
+            set_(2)
+            if get() < 2:
+                pytest.skip("OpenBLAS allows one thread here")
+            fg = random_feature_group(rng, n=4, d=8, h=6, w=6)
+            init = random_map_group(rng, n=4, h=12, w=12)
+            gt = MapGroup((rng.random((4, 12, 12)) < 0.5).astype(np.float32))
+            cfg = PipelineConfig(k=8, iters=2)
+            pipeline.run_pipeline(fg, init, cfg, gt=gt, keep_scores=True)
+        finally:
+            set_(before)
+        caller = threading.get_ident()
+        names = {name for name, _ in calls}
+        assert {"run_pipeline", "compute_proxy", "correlation_transform",
+                "CorrelationMapStack.__post_init__"} <= names
+        assert [c for c in calls if c[1] != caller] == []
+        assert caller in part_threads and len(set(part_threads)) > 1
 
 
 class TestIterationTrace:

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -235,6 +238,86 @@ class TestOneBlasThread:
             fg = random_feature_group(rng, n=2, d=8, h=3, w=3)
             proxy = Proxy(np.ones(8) / np.sqrt(8.0))
             correlation_transform(fg, proxy, search_corepresentation(fg, proxy, 4))
+            assert get() == 2
+        finally:
+            set_(before)
+
+
+class TestByImage:
+    def test_contiguous_ranges_cover_every_image_once(self):
+        from corp import search
+
+        for n, workers, expected in [
+            (7, 3, [(0, 0, 2), (1, 2, 4), (2, 4, 7)]),
+            (2, 8, [(0, 0, 1), (1, 1, 2)]),
+            (5, 1, [(0, 0, 5)]),
+        ]:
+            seen = []
+            search._by_image(n, workers, lambda w, lo, hi: seen.append((w, lo, hi)))
+            assert sorted(seen) == expected
+
+    def test_more_workers_than_cores_write_each_image_once(self):
+        import sys
+
+        from corp import search
+
+        counts = np.zeros(97, dtype=np.int64)
+
+        def part(w, lo, hi):
+            for i in range(lo, hi):
+                counts[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                search._by_image(97, 8, part)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (counts == 50).all()
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_exception_arrives_after_every_part(self, failing):
+        from corp import search
+
+        finished = []
+
+        def part(w, lo, hi):
+            if w == failing:
+                raise RuntimeError(f"part {w}")
+            time.sleep(0.2)
+            finished.append(w)
+
+        with pytest.raises(RuntimeError, match=f"part {failing}"):
+            search._by_image(3, 3, part)
+        assert sorted(finished) == [w for w in range(3) if w != failing]
+
+    def test_worker_exception_in_transform_restores_blas_count(self, rng, monkeypatch):
+        from corp import search
+
+        if search._BLAS_THREADS is None:
+            pytest.skip("numpy does not link an OpenBLAS with thread control")
+        get, set_ = search._BLAS_THREADS
+        before = get()
+        try:
+            set_(2)
+            if get() < 2:
+                pytest.skip("OpenBLAS allows one thread here")
+            fg = random_feature_group(rng, n=4, d=8, h=3, w=3)
+            proxy = Proxy(np.ones(8) / np.sqrt(8.0))
+            corep = search_corepresentation(fg, proxy, 4)
+            caller, matmul, done = threading.get_ident(), np.matmul, []
+
+            def flaky_matmul(*args, **kwargs):
+                if threading.get_ident() != caller:
+                    raise RuntimeError("worker failed")
+                time.sleep(0.1)
+                done.append(matmul(*args, **kwargs))
+
+            monkeypatch.setattr(np, "matmul", flaky_matmul)
+            with pytest.raises(RuntimeError, match="worker failed"):
+                correlation_transform(fg, proxy, corep)
+            assert len(done) == 2
             assert get() == 2
         finally:
             set_(before)

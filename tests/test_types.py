@@ -120,6 +120,29 @@ class TestCorrelationMapStack:
         with pytest.raises(RangeViolationError):
             CorrelationMapStack(np.full((1, 1, 2, 2), 1.1))
 
+    def test_largest_magnitude_is_located(self):
+        arr = np.full((1, 2, 2, 2), 0.5)
+        arr[0, 1, 1, 0] = -1.3
+        arr[0, 0, 0, 1] = 1.2
+        with pytest.raises(RangeViolationError, match=r"-1\.3 at \(image=0, channel=1, row=1, col=0\)"):
+            CorrelationMapStack(arr)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        arr = np.zeros((2, 1, 2, 2))
+        arr[1, 0, 1, 1] = bad
+        with pytest.raises(RangeViolationError, match="non-finite"):
+            CorrelationMapStack(arr)
+
+    def test_caller_array_copied_adopted_buffer_frozen_in_place(self):
+        arr = np.zeros((1, 1, 2, 2))
+        stack = CorrelationMapStack(arr)
+        arr[0, 0, 0, 0] = 0.5
+        assert stack.maps[0, 0, 0, 0] == 0.0 and not stack.maps.flags.writeable
+        own = np.zeros((1, 1, 2, 2))
+        adopted = CorrelationMapStack(own, _adopt=True)
+        assert adopted.maps is own and not own.flags.writeable
+
 
 class TestPipelineConfig:
     def test_shipped_defaults(self):
