@@ -50,7 +50,7 @@ from .search import (
     search_corepresentation,
 )
 from .storage import read_map_pgm, read_tensor, write_map_pgm, write_tensor
-from .tensor import bilinear_resize, dot, l2_normalize_channels, masked_gap, topk_desc
+from .tensor import bilinear_resize, l2_normalize_channels, masked_gap, topk_desc
 from .types import (
     CoRepresentation,
     CorrelationMapStack,
@@ -88,7 +88,6 @@ __all__ = [
     "compute_proxy",
     "correlation_transform",
     "decode_reference",
-    "dot",
     "e_measure_mean",
     "evaluate",
     "f_measure_curve",

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError
-from .types import FeatureGroup, MapGroup
+from .types import FeatureGroup, MapGroup, _is_int
 
 __all__ = ["SplitMix64", "FixtureSpec", "random_fixture_spec", "generate_fixture"]
 
@@ -141,11 +141,6 @@ class FixtureSpec:
                     f"distractor {j} overlaps the co-direction by {overlap:.4f}, "
                     f"limit is {1.0 - self.separation_margin:.4f}"
                 )
-
-
-def _is_int(v) -> bool:
-    """An integer that is not a bool: JSON ``true`` is no count."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _rows_of(rows, kind, length: int | None = None) -> bool:
@@ -303,8 +298,3 @@ def _check_separation(feats: np.ndarray, gt: np.ndarray) -> None:
             f"<= max out-region score {max_out:.6f}); lower noise_sigma or raise "
             "separation_margin"
         )
-
-
-def with_seed(spec: FixtureSpec, seed: int) -> FixtureSpec:
-    """Copy of a spec with a different seed."""
-    return replace(spec, seed=seed)

@@ -3,8 +3,8 @@
 The encoder features stay fixed; only the maps feeding the proxy change from
 iteration to iteration. Every iteration is recorded in a trace.
 
-Per-image work (the proxy's masked sums, the correlation maps) is split by
-image over the OpenBLAS thread budget (``corp.search._by_image``); sums over
+Per-image work (the proxy's masked sums, the scores, the correlation maps) is split by
+image over the OpenBLAS thread budget (``corp.tensor._by_image``); sums over
 images and the top-k stay on the calling thread, so the bits never depend on
 the split.
 """
@@ -18,14 +18,12 @@ import numpy as np
 from .decoder import DecoderFn, get_decoder
 from .errors import ArgumentError, ShapeError
 from .search import (
-    _blas_budget,
-    _by_image,
     correlation_transform,
     purity_proportion,
     score_all,
     search_corepresentation,
 )
-from .tensor import _masked_gap, bilinear_resize
+from .tensor import _blas_budget, _by_image, _masked_gap, bilinear_resize
 from .types import (
     CoRepresentation,
     FeatureGroup,

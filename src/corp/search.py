@@ -6,16 +6,10 @@ each image into k correlation maps; selection and transform share the scores.
 """
 from __future__ import annotations
 
-import ctypes
-import importlib
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .tensor import topk_desc
+from .tensor import _blas_budget, _by_image, _channel_dots, _one_blas_thread, topk_desc
 from .types import CoRepresentation, CorrelationMapStack, FeatureGroup, MapGroup, Proxy
 
 __all__ = [
@@ -26,104 +20,15 @@ __all__ = [
 ]
 
 
-def _blas_thread_calls():
-    """(get, set) thread-count calls of the OpenBLAS that numpy links, or None."""
-    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-            break
-        except (ImportError, OSError):
-            continue
-    else:
-        return None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "openblas_{}_num_threads"):
-        try:
-            return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-        except AttributeError:
-            continue
-    return None
-
-
-_BLAS_THREADS = _blas_thread_calls()
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_saved = 1
-# Threads start on first use, and only as many as parts are waiting.
-_POOL = ThreadPoolExecutor(thread_name_prefix="corp-image")
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the enclosed BLAS calls on one OpenBLAS thread, then restore the count.
-
-    Each K x D by D x H*W product in correlation_transform reads a block the
-    calling thread has just written. A second thread must fetch half of it
-    from the caller's cache, and the caller must take it back before the
-    next write. Where the two cores share no cache that costs more than the
-    second thread saves, and op times moved by a third from run to run with
-    where the host placed the threads. One thread gives the same bits. The
-    count is process-wide, so BLAS calls from other threads meanwhile run on
-    one thread too. Does nothing when numpy's BLAS is not a known OpenBLAS.
-    """
-    global _blas_users, _blas_saved
-    if _BLAS_THREADS is None:
-        yield
-        return
-    get, set_ = _BLAS_THREADS
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                set_(_blas_saved)
-
-
-def _blas_budget() -> int:
-    """OpenBLAS thread count in force outside ``_one_blas_thread``; 1 without one."""
-    if _BLAS_THREADS is None:
-        return 1
-    with _blas_lock:
-        return _blas_saved if _blas_users else _BLAS_THREADS[0]()
-
-
-def _by_image(n: int, workers: int, part) -> None:
-    """Call ``part(w, lo, hi)`` on contiguous image ranges [lo, hi) covering 0..n.
-
-    There are ``min(workers, n)`` ranges, at least one image each; range w
-    may use row w of a scratch array the caller allocated. The calling
-    thread runs range 0 and the module pool the rest. Returns, or raises the
-    first exception in range order, only once every range has finished, so
-    no part still writes into the caller's arrays afterwards. Parts call
-    numpy only: the benchmark's spans around corp functions assume one call
-    stack.
-    """
-    workers = max(1, min(workers, n))
-    bounds = [n * w // workers for w in range(workers + 1)]
-    futures = []
-    try:
-        for w in range(1, workers):
-            futures.append(_POOL.submit(part, w, bounds[w], bounds[w + 1]))
-        part(0, bounds[0], bounds[1])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
-
-
 def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
     """Correlation score of every pixel embedding against the proxy.
 
     Returns a flat float64 vector of length N*H*W in image-major, row-major
     order. For unit-norm inputs all values lie in [-1, 1] up to rounding.
-    One pass over all images accumulates channels left to right, so each
-    value is exactly the scalar sequence acc += p[d] * f[d] in float64.
+    Images are split over the OpenBLAS thread budget; each takes one
+    float64 product with the proxy and one channel sum (``_channel_dots``),
+    so each value is exactly the scalar sequence acc += p[d] * f[d] in
+    float64, whatever the split.
     """
     if proxy.dim != features.channels:
         raise ShapeError(
@@ -131,11 +36,8 @@ def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
         )
     n, d, h, w = features.embeddings.shape
     flat = features.embeddings.reshape(n, d, h * w)
-    acc = np.zeros((n, h * w), dtype=np.float64)
-    for c in range(d):
-        # The float64 loop is explicit: scalar promotion rules differ across numpy versions.
-        acc += np.multiply(proxy.vec[c], flat[:, c, :], dtype=np.float64)
-    return acc.reshape(-1)
+    p = np.broadcast_to(proxy.vec[:, None], (n, d, 1))
+    return _channel_dots(p, flat).reshape(-1)
 
 
 def search_corepresentation(

@@ -1,10 +1,22 @@
-"""Dense-array kernels used by the co-saliency pipeline.
+"""Dense-array kernels used by the co-saliency pipeline, and how they use threads.
 
 All kernels are pure functions over numpy arrays (row-major, float32 data by
 default, float64 accumulation). Reductions follow a fixed, documented order,
 so results are bit-reproducible across runs and thread counts.
+
+Per-image passes (scoring, the feature norm check, the proxy's masked sums,
+the correlation maps) split a group into contiguous image ranges, one per
+thread that numpy's OpenBLAS may use (``_blas_budget``, ``_by_image``). Each
+image goes through the same numpy calls whatever the split; ``_channel_dots``
+is the per-pixel channel sum that scoring and the norm check share.
 """
 from __future__ import annotations
+
+import ctypes
+import importlib
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -12,13 +24,130 @@ from .errors import ArgumentError, ShapeError
 
 __all__ = [
     "l2_normalize_channels",
-    "dot",
     "topk_desc",
     "masked_gap",
     "bilinear_resize",
 ]
 
 DEFAULT_EPS = 1e-12
+
+
+def _blas_thread_calls():
+    """(get, set) thread-count calls of the OpenBLAS that numpy links, or None."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            break
+        except (ImportError, OSError):
+            continue
+    else:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        try:
+            return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+    return None
+
+
+_BLAS_THREADS = _blas_thread_calls()
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 1
+# Threads start on first use, and only as many as parts are waiting.
+_POOL = ThreadPoolExecutor(thread_name_prefix="corp-image")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the enclosed BLAS calls on one OpenBLAS thread, then restore the count.
+
+    Each K x D by D x H*W product in correlation_transform reads a block the
+    calling thread has just written. A second thread must fetch half of it
+    from the caller's cache, and the caller must take it back before the
+    next write. Where the two cores share no cache that costs more than the
+    second thread saves, and op times moved by a third from run to run with
+    where the host placed the threads. One thread gives the same bits. The
+    count is process-wide, so BLAS calls from other threads meanwhile run on
+    one thread too. Does nothing when numpy's BLAS is not a known OpenBLAS.
+    """
+    global _blas_users, _blas_saved
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, set_ = _BLAS_THREADS
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_saved)
+
+
+def _blas_budget() -> int:
+    """OpenBLAS thread count in force outside ``_one_blas_thread``; 1 without one."""
+    if _BLAS_THREADS is None:
+        return 1
+    with _blas_lock:
+        return _blas_saved if _blas_users else _BLAS_THREADS[0]()
+
+
+def _by_image(n: int, workers: int, part) -> None:
+    """Call ``part(w, lo, hi)`` on contiguous image ranges [lo, hi) covering 0..n.
+
+    There are ``min(workers, n)`` ranges, at least one image each; range w
+    may use row w of a scratch array the caller allocated. The calling
+    thread runs range 0 and the module pool the rest. Returns, or raises the
+    first exception in range order, only once every range has finished, so
+    no part still writes into the caller's arrays afterwards. Parts call
+    numpy only: the benchmark's spans around corp functions assume one call
+    stack.
+    """
+    workers = max(1, min(workers, n))
+    bounds = [n * w // workers for w in range(workers + 1)]
+    futures = []
+    try:
+        for w in range(1, workers):
+            futures.append(_POOL.submit(part, w, bounds[w], bounds[w + 1]))
+        part(0, bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over channels of a[i] * b[i] at every pixel, image by image on the thread budget.
+
+    ``b`` is (N, D, H*W) and ``a`` is the same or (N, D, 1). Returns (N, H*W)
+    float64. Each range multiplies one image in float64 into its row of
+    (workers, D, H*W) scratch, then adds the D rows left to right onto +0.0
+    (given as ``initial``, not left to numpy). Every value thus has the bits
+    of the scalar loop ``acc = 0.0; acc += a[d] * b[d]``, signed zeros
+    included, whatever the split. numpy adds a lone column pairwise instead
+    (other bits from D = 9 on), so the scratch keeps at least two columns;
+    the padding column stays zero. Parts call numpy only.
+    """
+    n, d, hw = b.shape
+    workers = _blas_budget()
+    scratch = np.zeros((min(workers, n), d, max(hw, 2)), dtype=np.float64)
+    out = np.empty((n, scratch.shape[2]), dtype=np.float64)
+
+    def part(wk, lo, hi):
+        buf = scratch[wk]
+        for i in range(lo, hi):
+            np.multiply(a[i], b[i], out=buf[:, :hw], dtype=np.float64)
+            np.add.reduce(buf, axis=0, out=out[i], initial=0.0)
+
+    _by_image(n, workers, part)
+    return out[:, :hw]
 
 
 def l2_normalize_channels(t: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -39,28 +168,13 @@ def l2_normalize_channels(t: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray
     return out.astype(t.dtype, copy=False)
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of two equal-length vectors.
-
-    Accumulates left to right in float64. This is the reference scalar
-    kernel; vectorized call sites replicate exactly this operation order.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError(f"dot expects vectors, got shapes {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    acc = 0.0
-    for x, y in zip(a.tolist(), b.tolist()):
-        acc += x * y
-    return acc
-
-
 def topk_desc(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest scores, ordered score-descending.
 
     Ties go to the smaller index, which makes the selection deterministic.
+    The result is ``np.argsort(-scores, kind="stable")[:k]`` (NaN last, -0.0
+    tied with 0.0) without sorting all n scores: a partition finds the k-th
+    key, and only the keys not above it, every tie included, are sorted.
     """
     s = np.asarray(scores)
     if s.ndim != 1:
@@ -68,8 +182,10 @@ def topk_desc(scores: np.ndarray, k: int) -> np.ndarray:
     n = s.shape[0]
     if not isinstance(k, (int, np.integer)) or k < 1 or k > n:
         raise ArgumentError(f"k must be an integer in [1, {n}], got {k!r}")
-    order = np.argsort(-s.astype(np.float64, copy=False), kind="stable")
-    return order[:k].astype(np.int64)
+    key = -s.astype(np.float64, copy=False)
+    kth = np.partition(key, k - 1)[k - 1]
+    cand = np.flatnonzero(~(key > kth))
+    return cand[np.argsort(key[cand], kind="stable")[:k]].astype(np.int64)
 
 
 def masked_gap(feat: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -6,19 +6,24 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ArgumentError, RangeViolationError, ShapeError
-from .tensor import l2_normalize_channels
+from .tensor import _channel_dots, l2_normalize_channels
 
 UNIT_NORM_TOL = 1e-5
 PROXY_NORM_TOL = 1e-6
 CORRELATION_SLACK = 1e-5
 
 PROXY_MODES = ("from_maps", "from_ground_truth")
+
+
+def _is_int(v) -> bool:
+    """An integer that is not a bool: JSON ``true`` is no count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _frozen(x, dtype=None) -> np.ndarray:
@@ -46,13 +51,11 @@ class FeatureGroup:
         if min(arr.shape) < 1:
             raise ShapeError(f"all extents must be positive, got {arr.shape}")
         arr = _frozen(arr)
-        # Accumulate in float64 channel by channel: no float64 copy of the group.
+        # Square and sum in float64 image by image: no float64 copy of the group.
         # Non-finite values give a non-finite norm and fail the check below.
-        sq = np.zeros((arr.shape[0],) + arr.shape[2:], dtype=np.float64)
-        for d in range(arr.shape[1]):
-            x = arr[:, d].astype(np.float64)
-            sq += x * x
-        norms = np.sqrt(sq)
+        n, d, h, w = arr.shape
+        flat = arr.reshape(n, d, h * w)
+        norms = np.sqrt(_channel_dots(flat, flat)).reshape(n, h, w)
         ok = (np.abs(norms - 1.0) <= UNIT_NORM_TOL) | (norms == 0.0)
         if not ok.all():
             n, h, w = np.argwhere(~ok)[0]
@@ -89,16 +92,6 @@ class FeatureGroup:
     @property
     def width(self) -> int:
         return self.embeddings.shape[3]
-
-    def image(self, n: int) -> np.ndarray:
-        return self.embeddings[n]
-
-    @cached_property
-    def embeddings64(self) -> np.ndarray:
-        """Float64 copy of the embeddings, made on first use; corp never reads it."""
-        arr = self.embeddings.astype(np.float64)
-        arr.setflags(write=False)
-        return arr
 
 
 @dataclass(frozen=True)
@@ -140,9 +133,6 @@ class MapGroup:
     @property
     def width(self) -> int:
         return self.maps.shape[2]
-
-    def map(self, n: int) -> np.ndarray:
-        return self.maps[n]
 
     def binarized(self, threshold: float = 0.5) -> "MapGroup":
         return MapGroup(np.where(self.maps >= threshold, 1.0, 0.0).astype(self.maps.dtype))
@@ -290,6 +280,12 @@ class PipelineConfig:
     per_image_cap: int | None = None
 
     def __post_init__(self):
+        if not (_is_int(self.k) and _is_int(self.iters)
+                and (self.per_image_cap is None or _is_int(self.per_image_cap))):
+            raise ArgumentError(
+                f"k, iters and per_image_cap must be integers, got k={self.k!r}, "
+                f"iters={self.iters!r}, per_image_cap={self.per_image_cap!r}"
+            )
         if self.k < 1:
             raise ArgumentError(f"k must be >= 1, got {self.k}")
         if self.iters < 0:

@@ -3,9 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import corp
 from corp import FeatureGroup, MapGroup
+
+# Same examples on every run, no example database, no deadline: hypothesis
+# tests behave like the rest of the suite. A test's own settings override these.
+settings.register_profile("corp", derandomize=True, database=None, deadline=None, max_examples=100)
+settings.load_profile("corp")
 
 
 def subprocess_env(**overrides) -> dict:

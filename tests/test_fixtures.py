@@ -184,5 +184,5 @@ class TestGenerateFixture:
 
     def test_unit_norm_embeddings(self):
         features, _, _ = generate_fixture(random_fixture_spec(8))
-        norms = np.sqrt((features.embeddings64 ** 2).sum(axis=1))
+        norms = np.sqrt((features.embeddings.astype(np.float64) ** 2).sum(axis=1))
         assert np.abs(norms - 1.0).max() <= 1e-5

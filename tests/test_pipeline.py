@@ -134,14 +134,16 @@ class TestRunPipeline:
         import sys
 
         # The shipped wide shape, plus one and three images so that the split
-        # by image gives one range and then ranges of unequal length. Images
+        # by image gives one range and then ranges of unequal length, and a
+        # 1x1 grid, whose channel sums have a single column. Images
         # are split over as many threads as OpenBLAS may use, each running its
         # products on one OpenBLAS thread; under any other BLAS they run on
         # the calling thread, and the remaining BLAS calls follow the setting.
         snippet = (
             "import hashlib, numpy as np\n"
             "from corp import FeatureGroup, MapGroup, PipelineConfig, run_pipeline\n"
-            "for n, d, hw, k, t in ((20, 512, 28, 45, 6), (1, 64, 12, 16, 3), (3, 64, 12, 16, 3)):\n"
+            "for n, d, hw, k, t in ((20, 512, 28, 45, 6), (1, 64, 12, 16, 3), (3, 64, 12, 16, 3),\n"
+            "                      (4, 64, 1, 3, 3)):\n"
             "    rng = np.random.default_rng(4242)\n"
             "    raw = rng.standard_normal((n, d, hw, hw), dtype=np.float32)\n"
             "    fg = FeatureGroup.from_tensors(list(raw), normalize=True)\n"
@@ -163,7 +165,7 @@ class TestRunPipeline:
                 timeout=300,
             )
             assert out.returncode == 0, out.stderr
-            assert len(out.stdout.split()) == 6
+            assert len(out.stdout.split()) == 8
             digests.add(out.stdout)
         assert len(digests) == 1
 
@@ -274,9 +276,9 @@ class TestTracerContract:
         import sys
         import threading
 
-        from corp import pipeline, search
+        from corp import pipeline, tensor
 
-        if search._BLAS_THREADS is None:
+        if tensor._BLAS_THREADS is None:
             pytest.skip("numpy does not link an OpenBLAS with thread control")
         calls, part_threads = [], []
 
@@ -304,7 +306,7 @@ class TestTracerContract:
                 elif dataclasses.is_dataclass(obj) and hasattr(obj, "__post_init__"):
                     monkeypatch.setattr(obj, "__post_init__", recording(obj.__post_init__))
 
-        by_image = search._by_image
+        by_image = tensor._by_image
 
         def recording_by_image(n, workers, part):
             def recorded(*args):
@@ -312,9 +314,10 @@ class TestTracerContract:
                 return part(*args)
             return by_image(n, workers, recorded)
 
-        monkeypatch.setattr(search, "_by_image", recording_by_image)
-        monkeypatch.setattr(pipeline, "_by_image", recording_by_image)
-        get, set_ = search._BLAS_THREADS
+        for m in modules:
+            if vars(m).get("_by_image") is by_image:
+                monkeypatch.setattr(m, "_by_image", recording_by_image)
+        get, set_ = tensor._BLAS_THREADS
         before = get()
         try:
             set_(2)
@@ -329,8 +332,8 @@ class TestTracerContract:
             set_(before)
         caller = threading.get_ident()
         names = {name for name, _ in calls}
-        assert {"run_pipeline", "compute_proxy", "correlation_transform",
-                "CorrelationMapStack.__post_init__"} <= names
+        assert {"run_pipeline", "compute_proxy", "score_all", "correlation_transform",
+                "FeatureGroup.__post_init__", "CorrelationMapStack.__post_init__"} <= names
         assert [c for c in calls if c[1] != caller] == []
         assert caller in part_threads and len(set(part_threads)) > 1
 

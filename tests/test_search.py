@@ -9,16 +9,18 @@ from corp import (
     CoRepresentation,
     FeatureGroup,
     MapGroup,
+    PipelineConfig,
     Proxy,
     ShapeError,
     correlation_transform,
     purity_proportion,
+    run_pipeline,
     score_all,
     search_corepresentation,
     topk_desc,
 )
 from corp.oracles import oracle_correlation_transform, oracle_search, oracle_scores
-from conftest import random_feature_group
+from conftest import random_feature_group, random_map_group
 
 
 def single_pixel_group(embedding):
@@ -48,7 +50,7 @@ class TestScoreAll:
         fg = random_feature_group(rng, n=2, d=3, h=2, w=2)
         p = Proxy(np.array([1.0, 0.0, 0.0]))
         s = score_all(fg, p)
-        expected = fg.embeddings64[:, 0, :, :].reshape(-1)
+        expected = fg.embeddings.astype(np.float64)[:, 0, :, :].reshape(-1)
         assert np.array_equal(s, expected)
 
     def test_dimension_mismatch(self, rng):
@@ -219,19 +221,89 @@ class TestCorrelationTransform:
             correlation_transform(fg, p, corep)
 
 
+def tie_heavy_group(rng, n=3, d=16, h=4, w=5):
+    """Every embedding is one of three unit vectors or zero, so scores tie often."""
+    pool = rng.standard_normal((3, d))
+    pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+    pool = np.vstack([pool, np.zeros((1, d))]).astype(np.float32)
+    pick = rng.integers(0, 4, size=(n, h, w))
+    return FeatureGroup(pool[pick].transpose(0, 3, 1, 2))
+
+
+def cancelling_group(rng, n=2, d=12, h=2, w=4):
+    """Each image holds v and -v equally often: every masked average is exactly 0.
+
+    v is positive in every channel, so against the zero proxy every product
+    at -v is -0.0, and only a sum that starts from +0.0 scores it +0.0.
+    """
+    v = np.abs(rng.standard_normal(d))
+    v = (v / np.linalg.norm(v)).astype(np.float32)
+    signs = np.tile([1.0, -1.0], n * h * w // 2).astype(np.float32).reshape(n, h, w)
+    return FeatureGroup(np.einsum("d,nhw->ndhw", v, signs))
+
+
+class TestUnusualGroupsAgainstOracles:
+    # Inputs the fixtures never generate. Every iteration's selection must
+    # equal the brute-force oracle exactly, and the shared score vector must
+    # be the oracle's left-to-right sums byte for byte.
+    CASES = {
+        "tie_heavy": lambda rng: (tie_heavy_group(rng), 9),
+        "float64": lambda rng: (random_feature_group(rng, n=3, d=10, h=4, w=4, dtype=np.float64), 7),
+        "one_image": lambda rng: (random_feature_group(rng, n=1, d=24, h=5, w=6), 6),
+        # One pixel per image: each channel sum has a single column, which
+        # numpy would add pairwise rather than left to right.
+        "one_by_one": lambda rng: (random_feature_group(rng, n=6, d=64, h=1, w=1), 4),
+    }
+
+    @staticmethod
+    def assert_trace_matches_oracles(fg, trace, k):
+        assert len(trace) > 0
+        for rec in trace.records:
+            coords, _, picked = oracle_search(fg, rec.proxy.vec.tolist(), k)
+            assert [tuple(c) for c in rec.corep.coords.tolist()] == coords
+            assert rec.corep.scores.tolist() == picked
+            expected = np.asarray(oracle_scores(fg, rec.proxy.vec), dtype=np.float64).tobytes()
+            assert rec.scores.tobytes() == expected
+            assert score_all(fg, rec.proxy).tobytes() == expected
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_iteration_matches_the_oracles(self, rng, case):
+        fg, k = self.CASES[case](rng)
+        init = random_map_group(rng, n=fg.n_images, h=fg.height, w=fg.width)
+        trace = run_pipeline(fg, init, PipelineConfig(k=k, iters=3), keep_scores=True)
+        self.assert_trace_matches_oracles(fg, trace, k)
+
+    def test_zero_mask_takes_the_degenerate_proxy(self, rng):
+        fg = tie_heavy_group(rng)
+        init = MapGroup(np.zeros((fg.n_images, fg.height, fg.width), dtype=np.float32))
+        trace = run_pipeline(fg, init, PipelineConfig(k=9, iters=1), keep_scores=True)
+        assert trace.records[0].proxy.degenerate
+        self.assert_trace_matches_oracles(fg, trace, 9)
+
+    def test_zero_proxy_ties_every_score(self, rng):
+        # The zero mask falls back to the unmasked average, which is zero too.
+        fg = cancelling_group(rng)
+        init = MapGroup(np.zeros((fg.n_images, fg.height, fg.width), dtype=np.float32))
+        trace = run_pipeline(fg, init, PipelineConfig(k=5, iters=1), keep_scores=True)
+        rec = trace.records[0]
+        assert rec.proxy.degenerate and not rec.proxy.vec.any()
+        assert rec.corep.coords.tolist() == [[0, 0, c] for c in range(4)] + [[0, 1, 0]]
+        self.assert_trace_matches_oracles(fg, trace, 5)
+
+
 class TestOneBlasThread:
     def test_caps_then_restores_thread_count(self, rng):
-        from corp import search
+        from corp import tensor
 
-        if search._BLAS_THREADS is None:
+        if tensor._BLAS_THREADS is None:
             pytest.skip("numpy does not link an OpenBLAS with thread control")
-        get, set_ = search._BLAS_THREADS
+        get, set_ = tensor._BLAS_THREADS
         before = get()
         try:
             set_(2)
-            with search._one_blas_thread():
+            with tensor._one_blas_thread():
                 assert get() == 1
-                with search._one_blas_thread():
+                with tensor._one_blas_thread():
                     assert get() == 1
                 assert get() == 1
             assert get() == 2
@@ -245,7 +317,7 @@ class TestOneBlasThread:
 
 class TestByImage:
     def test_contiguous_ranges_cover_every_image_once(self):
-        from corp import search
+        from corp import tensor
 
         for n, workers, expected in [
             (7, 3, [(0, 0, 2), (1, 2, 4), (2, 4, 7)]),
@@ -253,13 +325,13 @@ class TestByImage:
             (5, 1, [(0, 0, 5)]),
         ]:
             seen = []
-            search._by_image(n, workers, lambda w, lo, hi: seen.append((w, lo, hi)))
+            tensor._by_image(n, workers, lambda w, lo, hi: seen.append((w, lo, hi)))
             assert sorted(seen) == expected
 
     def test_more_workers_than_cores_write_each_image_once(self):
         import sys
 
-        from corp import search
+        from corp import tensor
 
         counts = np.zeros(97, dtype=np.int64)
 
@@ -271,14 +343,14 @@ class TestByImage:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(50):
-                search._by_image(97, 8, part)
+                tensor._by_image(97, 8, part)
         finally:
             sys.setswitchinterval(interval)
         assert (counts == 50).all()
 
     @pytest.mark.parametrize("failing", [0, 2])
     def test_exception_arrives_after_every_part(self, failing):
-        from corp import search
+        from corp import tensor
 
         finished = []
 
@@ -289,15 +361,15 @@ class TestByImage:
             finished.append(w)
 
         with pytest.raises(RuntimeError, match=f"part {failing}"):
-            search._by_image(3, 3, part)
+            tensor._by_image(3, 3, part)
         assert sorted(finished) == [w for w in range(3) if w != failing]
 
     def test_worker_exception_in_transform_restores_blas_count(self, rng, monkeypatch):
-        from corp import search
+        from corp import tensor
 
-        if search._BLAS_THREADS is None:
+        if tensor._BLAS_THREADS is None:
             pytest.skip("numpy does not link an OpenBLAS with thread control")
-        get, set_ = search._BLAS_THREADS
+        get, set_ = tensor._BLAS_THREADS
         before = get()
         try:
             set_(2)

@@ -1,7 +1,11 @@
 import struct
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corp import read_map_pgm, read_tensor, write_map_pgm, write_tensor
 from corp.errors import (
@@ -161,3 +165,72 @@ class TestPgm:
     def test_no_leftover_temp_files(self, rng, tmp_path):
         write_map_pgm(tmp_path / "m.pgm", rng.random((3, 3)))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.pgm"]
+
+
+def valid_or(valid, strategy):
+    """Mostly ``valid``, otherwise a draw from ``strategy``: deep paths stay reachable."""
+    return st.one_of(st.just(valid), st.just(valid), strategy)
+
+
+def crpt_bytes():
+    """CRPT files near the valid ones: header fields drawn, payload length off by a little."""
+    @st.composite
+    def build(draw):
+        magic = draw(valid_or(b"CRPT", st.binary(max_size=5)))
+        version = draw(valid_or(1, st.integers(0, 255)))
+        dtype_code = draw(st.one_of(st.sampled_from([1, 2]), st.integers(0, 255)))
+        dims = draw(st.lists(st.one_of(st.integers(1, 4), st.sampled_from([0, 2 ** 31, 2 ** 32 - 1])),
+                             max_size=4))
+        ndim = draw(valid_or(len(dims), st.integers(0, 255)))
+        head = magic + bytes([version, dtype_code, ndim]) + struct.pack(f"<{len(dims)}I", *dims)
+        size = int(np.prod(dims, dtype=object)) if dims else 0
+        n = min(size * (4 if dtype_code == 1 else 8), 512) + draw(valid_or(0, st.integers(-9, 9)))
+        return head + draw(st.binary(min_size=max(n, 0), max_size=max(n, 0)))
+
+    return st.one_of(st.binary(max_size=40), build(), build())
+
+
+def pgm_bytes():
+    """P5 files near the valid ones: header tokens, separators and payload length drawn."""
+    @st.composite
+    def build(draw):
+        sep = valid_or(b" ", st.sampled_from([b"\n", b"\t ", b" # note\n", b"#\n", b""]))
+        w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        tokens = [
+            draw(valid_or(b"P5", st.sampled_from([b"P2", b"P", b"p5"]))),
+            draw(valid_or(str(w).encode(), st.sampled_from([b"0", b"-3", b"x", b"9" * 40]))),
+            draw(valid_or(str(h).encode(), st.sampled_from([b"0", b"+2", b"1_0", b"\xff"]))),
+            draw(valid_or(b"255", st.sampled_from([b"256", b"65535", b"1e3"]))),
+        ]
+        head = b"".join(draw(sep) + t for t in tokens)[1:] + draw(valid_or(b"\n", sep))
+        n = w * h + draw(valid_or(0, st.integers(-3, 3)))
+        return head + draw(st.binary(min_size=max(n, 0), max_size=max(n, 0)))
+
+    return st.one_of(st.binary(max_size=40), build(), build())
+
+
+class TestByteFuzzing:
+    # Whatever the bytes, a reader returns an array or raises a FormatError.
+    # Both readers take their bytes from Path.read_bytes, which is patched to
+    # return the drawn bytes so that no example waits on a disk write.
+    @given(data=crpt_bytes())
+    def test_read_tensor(self, data):
+        try:
+            with mock.patch.object(Path, "read_bytes", lambda self: data):
+                arr = read_tensor("fuzz.crpt")
+        except FormatError:
+            return
+        assert arr.dtype in (np.float32, np.float64)
+        assert data[:4] == b"CRPT" and arr.ndim == data[6]
+        assert arr.nbytes == len(data) - 7 - 4 * arr.ndim
+
+    @given(data=pgm_bytes())
+    def test_read_map_pgm(self, data):
+        try:
+            with mock.patch.object(Path, "read_bytes", lambda self: data):
+                arr = read_map_pgm("fuzz.pgm")
+        except FormatError:
+            return
+        assert arr.dtype == np.float32 and arr.ndim == 2 and arr.size >= 1
+        assert (np.round(arr.astype(np.float64) * 255.0).astype(np.uint8).tobytes()
+                == data[len(data) - arr.size:])

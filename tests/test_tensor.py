@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corp import ArgumentError, ShapeError, bilinear_resize, dot, l2_normalize_channels, masked_gap, topk_desc
+from corp import ArgumentError, ShapeError, bilinear_resize, l2_normalize_channels, masked_gap, topk_desc
 from corp.oracles import oracle_topk
 
 
@@ -43,32 +43,6 @@ class TestL2NormalizeChannels:
             l2_normalize_channels(np.ones((2, 2)))
 
 
-class TestDot:
-    def test_orthogonal(self):
-        assert dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_unit_self(self):
-        assert dot(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-
-    def test_hand_value(self):
-        assert dot(np.array([0.6, 0.8]), np.array([0.8, 0.6])) == pytest.approx(0.96, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            dot(np.ones(3), np.ones(4))
-
-    def test_bit_reproducible(self, rng):
-        a = rng.standard_normal(64).astype(np.float32)
-        b = rng.standard_normal(64).astype(np.float32)
-        assert dot(a, b) == dot(a, b)
-
-    @given(st.lists(st.floats(-1, 1), min_size=1, max_size=32))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_numpy_within_rounding(self, xs):
-        a = np.asarray(xs)
-        assert dot(a, a) == pytest.approx(float(np.dot(a, a)), rel=1e-12, abs=1e-12)
-
-
 class TestTopkDesc:
     def test_tie_broken_by_smaller_index(self):
         assert list(topk_desc(np.array([0.9, 0.2, 0.9, 0.5]), 2)) == [0, 2]
@@ -100,6 +74,30 @@ class TestTopkDesc:
         scores = np.asarray(xs)
         k = data.draw(st.integers(1, len(xs)))
         assert list(topk_desc(scores, k)) == oracle_topk(scores, k)
+
+    # Few distinct values force heavy ties; signed zeros, infinities and NaN
+    # are the keys a partition may order differently from a stable sort.
+    SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+
+    @given(st.lists(st.one_of(SPECIAL, st.floats(allow_nan=True)), min_size=1, max_size=48))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_full_stable_argsort(self, xs):
+        scores = np.asarray(xs, dtype=np.float64)
+        full = np.argsort(-scores, kind="stable")
+        finite = bool(np.isfinite(scores).all())
+        for k in range(1, len(xs) + 1):
+            got = topk_desc(scores, k)
+            assert got.dtype == np.int64
+            assert got.tolist() == full[:k].tolist()
+            if finite:
+                assert got.tolist() == oracle_topk(scores, k)
+
+    def test_float32_scores_at_scale(self, rng):
+        scores = np.round(rng.standard_normal(2000), 1).astype(np.float32)
+        scores[::7] = -0.0
+        full = np.argsort(-scores.astype(np.float64), kind="stable")
+        for k in (1, 45, 999, 2000):
+            assert topk_desc(scores, k).tolist() == full[:k].tolist()
 
 
 class TestMaskedGap:

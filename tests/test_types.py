@@ -37,6 +37,25 @@ class TestFeatureGroup:
             FeatureGroup(arr)
         assert info.value.image == 1
 
+    def test_reports_the_first_offending_embedding_across_image_ranges(self):
+        # Images are checked in ranges on several threads; the error still
+        # names the first bad embedding in (image, row, col) order.
+        arr = np.zeros((5, 3, 2, 2), dtype=np.float32)
+        arr[:, 0] = 1.0
+        arr[4, :, 0, 0] = [0.5, 0.0, 0.0]
+        arr[1, :, 1, 0] = [1.0, 1.0, 0.0]
+        with pytest.raises(RangeViolationError, match=r"image=1, row=1, col=0") as info:
+            FeatureGroup(arr)
+        assert info.value.image == 1
+
+    def test_one_by_one_grid(self, rng):
+        raw = rng.standard_normal((3, 40, 1, 1))
+        unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        FeatureGroup(unit)
+        unit[2] *= 1.01
+        with pytest.raises(RangeViolationError, match=r"image=2, row=0, col=0"):
+            FeatureGroup(unit)
+
     def test_allows_exact_zero_embedding(self):
         arr = np.zeros((1, 2, 1, 2), dtype=np.float32)
         arr[0, 0, 0, 0] = 1.0
@@ -46,7 +65,7 @@ class TestFeatureGroup:
     def test_from_tensors_normalizes(self, rng):
         raw = [rng.standard_normal((3, 2, 2)).astype(np.float32) for _ in range(2)]
         fg = FeatureGroup.from_tensors(raw, normalize=True)
-        norms = np.sqrt((fg.embeddings64 ** 2).sum(axis=1))
+        norms = np.sqrt((fg.embeddings.astype(np.float64) ** 2).sum(axis=1))
         assert np.abs(norms - 1.0).max() <= 1e-5
 
     def test_immutable(self, rng):
@@ -164,6 +183,28 @@ class TestPipelineConfig:
     def test_invalid_values(self, kwargs):
         with pytest.raises(ArgumentError):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k": True},
+            {"k": 2.5},
+            {"k": "3"},
+            {"iters": 2.5},
+            {"iters": False},
+            {"per_image_cap": 1.5},
+            {"per_image_cap": True},
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs):
+        # iters=2.5 used to end in a TypeError inside run_pipeline, and
+        # k=True ran with k=1.
+        with pytest.raises(ArgumentError, match="must be integers"):
+            PipelineConfig(**kwargs)
+
+    def test_numpy_integer_counts(self):
+        cfg = PipelineConfig(k=np.int64(4), iters=np.int32(2), per_image_cap=np.int64(3))
+        assert (cfg.k, cfg.iters, cfg.per_image_cap) == (4, 2, 3)
 
 
 class TestValidateGroup:
