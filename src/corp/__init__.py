@@ -39,7 +39,6 @@ from .pipeline import (
     IterationRecord,
     IterationTrace,
     compute_proxy,
-    proxy_from_ground_truth,
     resize_map_group,
     run_pipeline,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "list_decoders",
     "mae",
     "masked_gap",
-    "proxy_from_ground_truth",
     "purity_proportion",
     "random_fixture_spec",
     "read_map_pgm",

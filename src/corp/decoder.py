@@ -1,8 +1,10 @@
 """Decoders turning correlation-map stacks into co-saliency maps.
 
 The built-in "reference" decoder is parameter-free: average the K channels,
-clamp negatives, normalize by the per-image maximum, resize. Alternative
-decoders can be registered by name and selected through PipelineConfig.
+clamp negatives, normalize by the per-image maximum, resize. The pipeline
+computes that average straight from the mean selected embedding and calls
+``decode_mean`` on it. Alternative decoders can be registered by name and
+selected through PipelineConfig; they receive the whole stack.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from .errors import DecoderNotFoundError, RegistrationError
 from .tensor import bilinear_resize
 from .types import CorrelationMapStack, MapGroup
 
-__all__ = ["decode_reference", "register_decoder", "get_decoder", "list_decoders", "DecoderFn"]
+__all__ = ["decode_mean", "decode_reference", "register_decoder", "get_decoder", "list_decoders",
+           "DecoderFn"]
 
 DecoderFn = Callable[[CorrelationMapStack, int, int], MapGroup]
 
@@ -23,22 +26,16 @@ _REGISTRY: dict[str, DecoderFn] = {}
 MAX_EPS = 1e-12
 
 
-def fuse_mean_clamp(stack_image: np.ndarray) -> np.ndarray:
-    """Mean over the K channels with negatives clamped to zero (one image)."""
-    fused = stack_image.mean(axis=0)
-    return np.maximum(fused, 0.0)
+def decode_mean(mean_maps: np.ndarray, out_h: int, out_w: int) -> MapGroup:
+    """Decode (N, H, W) float64 mean correlation maps into [0, 1] maps.
 
-
-def decode_reference(stack: CorrelationMapStack, out_h: int, out_w: int) -> MapGroup:
-    """Parameter-free decode of a correlation stack into [0, 1] maps.
-
-    Per image: mean over K channels, clamp negatives to 0, divide by the
-    per-image maximum when it exceeds a tiny epsilon (otherwise the image
-    decodes to all zeros), then bilinear-resize to (out_h, out_w).
+    Per image: clamp negatives to 0, divide by the per-image maximum when it
+    exceeds a tiny epsilon (otherwise the image decodes to all zeros), then
+    bilinear-resize to (out_h, out_w).
     """
-    out = np.empty((stack.n_images, out_h, out_w), dtype=np.float32)
-    for n in range(stack.n_images):
-        fused = fuse_mean_clamp(stack.maps[n])
+    out = np.empty((mean_maps.shape[0], out_h, out_w), dtype=np.float32)
+    for n, fused in enumerate(mean_maps):
+        fused = np.maximum(fused, 0.0)
         peak = float(fused.max())
         if peak > MAX_EPS:
             fused = fused / peak
@@ -47,6 +44,14 @@ def decode_reference(stack: CorrelationMapStack, out_h: int, out_w: int) -> MapG
         resized = bilinear_resize(fused, out_h, out_w)
         out[n] = np.clip(resized, 0.0, 1.0).astype(np.float32)
     return MapGroup(out)
+
+
+def decode_reference(stack: CorrelationMapStack, out_h: int, out_w: int) -> MapGroup:
+    """Parameter-free decode of a correlation stack into [0, 1] maps.
+
+    The mean over the K channels of each image, decoded by ``decode_mean``.
+    """
+    return decode_mean(stack.maps.mean(axis=1), out_h, out_w)
 
 
 def register_decoder(name: str, fn: DecoderFn) -> None:

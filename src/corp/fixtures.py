@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .types import FeatureGroup, MapGroup, _is_int
+from .tensor import _is_int
+from .types import FeatureGroup, MapGroup
 
 __all__ = ["SplitMix64", "FixtureSpec", "random_fixture_spec", "generate_fixture"]
 

@@ -3,10 +3,10 @@
 The encoder features stay fixed; only the maps feeding the proxy change from
 iteration to iteration. Every iteration is recorded in a trace.
 
-Per-image work (the proxy's masked sums, the scores, the correlation maps) is split by
-image over the OpenBLAS thread budget (``corp.tensor._by_image``); sums over
-images and the top-k stay on the calling thread, so the bits never depend on
-the split.
+Per-image work (the proxy's masked sums, the scores, the reference decoder's
+mean-embedding map) is split by image over the CPUs the process may use
+(``corp.tensor._by_image``); sums over images and the top-k stay on the
+calling thread, so the bits never depend on the split.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import DecoderFn, get_decoder
+from .decoder import decode_mean, get_decoder
 from .errors import ArgumentError, ShapeError
 from .search import (
     correlation_transform,
@@ -23,7 +23,7 @@ from .search import (
     score_all,
     search_corepresentation,
 )
-from .tensor import _blas_budget, _by_image, _masked_gap, bilinear_resize
+from .tensor import _by_image, _channel_dots, _masked_gap, _worker_count, bilinear_resize
 from .types import (
     CoRepresentation,
     FeatureGroup,
@@ -37,7 +37,6 @@ __all__ = [
     "IterationRecord",
     "IterationTrace",
     "compute_proxy",
-    "proxy_from_ground_truth",
     "resize_map_group",
     "run_pipeline",
 ]
@@ -122,7 +121,7 @@ def _masked_average(features: FeatureGroup, masks: np.ndarray) -> tuple[np.ndarr
     flat = features.embeddings.reshape(n, d, h * w)
     masks64 = np.asarray(masks, dtype=np.float64).reshape(n, h * w)
     gaps = np.empty((n, d), dtype=np.float64)
-    workers = _blas_budget()
+    workers = _worker_count()
     scratch = np.empty((min(workers, n), d, h * w), dtype=np.float64)
 
     def part(wk, lo, hi):
@@ -134,16 +133,10 @@ def _masked_average(features: FeatureGroup, masks: np.ndarray) -> tuple[np.ndarr
     return raw, float(np.sqrt((raw * raw).sum()))
 
 
-def proxy_from_ground_truth(features: FeatureGroup, gt: MapGroup, eps: float = 1e-12) -> Proxy:
-    """Proxy computed with ground-truth maps as the mask."""
-    return compute_proxy(features, gt, eps=eps)
-
-
 def run_pipeline(
     features: FeatureGroup,
     init_maps: MapGroup,
     cfg: PipelineConfig,
-    decoder: DecoderFn | None = None,
     gt: MapGroup | None = None,
     keep_scores: bool = False,
 ) -> IterationTrace:
@@ -154,12 +147,15 @@ def run_pipeline(
     from ``gt`` every iteration instead of the previous prediction. When
     ``gt`` is supplied the per-iteration purity proportion is recorded.
     Each iteration scores once; ``keep_scores`` keeps that vector per record.
-    ``cfg.iters == 0`` yields an empty trace and the caller keeps its input
-    maps.
+    The "reference" decoder's mean over K correlation maps is s * (c . f) at
+    every pixel, with c the mean selected embedding, so it is decoded from
+    that one channel sum; other decoders get the ``correlation_transform``
+    stack. ``cfg.iters == 0`` yields an empty trace and the caller keeps its
+    input maps.
     """
-    if decoder is None:
-        decoder = get_decoder(cfg.decoder)
-    h, w = features.height, features.width
+    decoder = None if cfg.decoder == "reference" else get_decoder(cfg.decoder)
+    n, d, h, w = features.embeddings.shape
+    flat = features.embeddings.reshape(n, d, h * w)
     if init_maps.n_images != features.n_images:
         raise ShapeError(
             f"feature group has {features.n_images} images, initial maps have {init_maps.n_images}"
@@ -183,8 +179,12 @@ def run_pipeline(
         proxy = compute_proxy(features, source, eps=cfg.eps, iteration=t)
         scores = score_all(features, proxy)
         corep = search_corepresentation(features, proxy, cfg.k, cfg.per_image_cap, scores=scores)
-        stack = correlation_transform(features, proxy, corep, scores=scores)
-        maps_t = decoder(stack, h, w)
+        if decoder is None:
+            c_mean = corep.embeddings.astype(np.float64).mean(axis=0)
+            fused = _channel_dots(np.broadcast_to(c_mean[:, None], (n, d, 1)), flat)
+            maps_t = decode_mean((fused * scores.reshape(n, h * w)).reshape(n, h, w), h, w)
+        else:
+            maps_t = decoder(correlation_transform(features, proxy, corep, scores=scores), h, w)
         purity = purity_proportion(corep, gt_feat) if gt_feat is not None else None
         records.append(
             IterationRecord(

@@ -1,15 +1,16 @@
 """Co-representation search: score all embeddings, select top-k, transform.
 
 One round of searching scores every pixel embedding against the proxy once,
-keeps the k best-correlated locations, gathers their embeddings, and turns
-each image into k correlation maps; selection and transform share the scores.
+keeps the k best-correlated locations and gathers their embeddings. The
+correlation transform turns each image into k correlation maps for decoders
+that consume the stack; selection and transform share the scores.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .tensor import _blas_budget, _by_image, _channel_dots, _one_blas_thread, topk_desc
+from .tensor import _channel_dots, _is_int, topk_desc
 from .types import CoRepresentation, CorrelationMapStack, FeatureGroup, MapGroup, Proxy
 
 __all__ = [
@@ -25,7 +26,7 @@ def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
 
     Returns a flat float64 vector of length N*H*W in image-major, row-major
     order. For unit-norm inputs all values lie in [-1, 1] up to rounding.
-    Images are split over the OpenBLAS thread budget; each takes one
+    Images are split over the CPUs the process may use; each takes one
     float64 product with the proxy and one channel sum (``_channel_dots``),
     so each value is exactly the scalar sequence acc += p[d] * f[d] in
     float64, whatever the split.
@@ -51,33 +52,32 @@ def search_corepresentation(
 
     ``per_image_cap`` optionally limits how many locations one image may
     contribute; by default there is no quota and the selection is a global
-    top-k over all N*H*W locations. ``scores`` is ``score_all(features,
-    proxy)`` when the caller already has it.
+    top-k over all N*H*W locations. With a cap the result is what walking
+    all scores best first and skipping images that reached their cap would
+    give: each image's top ``per_image_cap``, then the top k of those
+    candidates, ties going to the smaller flat index in both steps.
+    ``scores`` is ``score_all(features, proxy)`` when the caller already
+    has it.
     """
-    if scores is None:
-        scores = score_all(features, proxy)
     n, _, h, w = features.embeddings.shape
-    if per_image_cap is None:
-        idx = topk_desc(scores, k)
-    else:
+    if not _is_int(k) or not 1 <= k <= n * h * w:
+        raise ArgumentError(f"k must be an integer in [1, {n * h * w}], got {k!r}")
+    if per_image_cap is not None:
+        if not _is_int(per_image_cap) or per_image_cap < 1:
+            raise ArgumentError(f"per_image_cap must be an integer >= 1, got {per_image_cap!r}")
         if per_image_cap * n < k:
             raise ArgumentError(
                 f"per_image_cap={per_image_cap} over {n} images cannot supply k={k}"
             )
-        if not 1 <= k <= scores.shape[0]:
-            raise ArgumentError(f"k must be in [1, {scores.shape[0]}], got {k}")
-        order = np.argsort(-scores, kind="stable")
-        taken = np.zeros(n, dtype=np.int64)
-        picked = []
-        for flat_i in order:
-            img = int(flat_i) // (h * w)
-            if taken[img] >= per_image_cap:
-                continue
-            taken[img] += 1
-            picked.append(int(flat_i))
-            if len(picked) == k:
-                break
-        idx = np.asarray(picked, dtype=np.int64)
+    if scores is None:
+        scores = score_all(features, proxy)
+    if per_image_cap is None:
+        idx = topk_desc(scores, k)
+    else:
+        cap = min(per_image_cap, h * w)
+        per_image = [topk_desc(row, cap) + i * h * w for i, row in enumerate(scores.reshape(n, -1))]
+        cand = np.sort(np.concatenate(per_image))
+        idx = cand[topk_desc(scores[cand], k)]
     imgs = idx // (h * w)
     rows = (idx % (h * w)) // w
     cols = idx % w
@@ -97,8 +97,8 @@ def correlation_transform(
     Per image: scale each pixel embedding by its proxy score, then take
     inner products with all K selected embeddings. Output shape is
     (N, K, H, W). ``scores`` is ``score_all(features, proxy)`` when the
-    caller already has it. Images are split over as many threads as numpy's
-    OpenBLAS may use (``_blas_budget``), each product on one BLAS thread.
+    caller already has it. This is the input of registered decoders; the
+    pipeline's reference decode needs only the mean over K and skips it.
     """
     if proxy.dim != features.channels or corep.dim != features.channels:
         raise ShapeError(
@@ -110,19 +110,9 @@ def correlation_transform(
     flat = features.embeddings.reshape(n, d, h * w)
     c64 = corep.embeddings.astype(np.float64)
     out = np.empty((n, corep.k, h * w), dtype=np.float64)
-    workers = _blas_budget()
-    scaled = np.empty((min(workers, n), d, h * w), dtype=np.float64)
-
-    def part(wk, lo, hi):
-        buf = scaled[wk]
-        for i in range(lo, hi):
-            np.copyto(buf, flat[i])
-            buf *= s[i]
-            np.matmul(c64, buf, out=out[i])
-
-    with _one_blas_thread():
-        _by_image(n, workers, part)
-    return CorrelationMapStack(out.reshape(n, corep.k, h, w), _adopt=True)
+    for i in range(n):
+        np.matmul(c64, flat[i] * s[i], out=out[i])
+    return CorrelationMapStack(out.reshape(n, corep.k, h, w))
 
 
 def purity_proportion(corep: CoRepresentation, gt: MapGroup, threshold: float = 0.5) -> float:

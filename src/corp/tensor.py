@@ -5,18 +5,17 @@ default, float64 accumulation). Reductions follow a fixed, documented order,
 so results are bit-reproducible across runs and thread counts.
 
 Per-image passes (scoring, the feature norm check, the proxy's masked sums,
-the correlation maps) split a group into contiguous image ranges, one per
-thread that numpy's OpenBLAS may use (``_blas_budget``, ``_by_image``). Each
-image goes through the same numpy calls whatever the split; ``_channel_dots``
-is the per-pixel channel sum that scoring and the norm check share.
+the reference decoder's mean-embedding map) split a group into contiguous
+image ranges, one per CPU the process may run on (``_worker_count``,
+``_by_image``). Each image goes through the same numpy calls whatever the
+split; ``_channel_dots`` is the per-pixel channel sum those passes share.
+None of them calls BLAS.
 """
 from __future__ import annotations
 
-import ctypes
-import importlib
-import threading
+import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,72 +30,21 @@ __all__ = [
 
 DEFAULT_EPS = 1e-12
 
-
-def _blas_thread_calls():
-    """(get, set) thread-count calls of the OpenBLAS that numpy links, or None."""
-    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-            break
-        except (ImportError, OSError):
-            continue
-    else:
-        return None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "openblas_{}_num_threads"):
-        try:
-            return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-        except AttributeError:
-            continue
-    return None
-
-
-_BLAS_THREADS = _blas_thread_calls()
-_blas_lock = threading.Lock()
-_blas_users = 0
-_blas_saved = 1
 # Threads start on first use, and only as many as parts are waiting.
 _POOL = ThreadPoolExecutor(thread_name_prefix="corp-image")
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run the enclosed BLAS calls on one OpenBLAS thread, then restore the count.
+def _is_int(v) -> bool:
+    """An integer that is not a bool: JSON ``true`` is no count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
-    Each K x D by D x H*W product in correlation_transform reads a block the
-    calling thread has just written. A second thread must fetch half of it
-    from the caller's cache, and the caller must take it back before the
-    next write. Where the two cores share no cache that costs more than the
-    second thread saves, and op times moved by a third from run to run with
-    where the host placed the threads. One thread gives the same bits. The
-    count is process-wide, so BLAS calls from other threads meanwhile run on
-    one thread too. Does nothing when numpy's BLAS is not a known OpenBLAS.
-    """
-    global _blas_users, _blas_saved
-    if _BLAS_THREADS is None:
-        yield
-        return
-    get, set_ = _BLAS_THREADS
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_users += 1
+
+def _worker_count() -> int:
+    """Image ranges a per-image pass splits into: the CPUs this process may use."""
     try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                set_(_blas_saved)
-
-
-def _blas_budget() -> int:
-    """OpenBLAS thread count in force outside ``_one_blas_thread``; 1 without one."""
-    if _BLAS_THREADS is None:
-        return 1
-    with _blas_lock:
-        return _blas_saved if _blas_users else _BLAS_THREADS[0]()
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _by_image(n: int, workers: int, part) -> None:
@@ -124,7 +72,7 @@ def _by_image(n: int, workers: int, part) -> None:
 
 
 def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over channels of a[i] * b[i] at every pixel, image by image on the thread budget.
+    """Sum over channels of a[i] * b[i] at every pixel, image by image over ``_worker_count``.
 
     ``b`` is (N, D, H*W) and ``a`` is the same or (N, D, 1). Returns (N, H*W)
     float64. Each range multiplies one image in float64 into its row of
@@ -136,7 +84,7 @@ def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the padding column stays zero. Parts call numpy only.
     """
     n, d, hw = b.shape
-    workers = _blas_budget()
+    workers = _worker_count()
     scratch = np.zeros((min(workers, n), d, max(hw, 2)), dtype=np.float64)
     out = np.empty((n, scratch.shape[2]), dtype=np.float64)
 
@@ -180,7 +128,7 @@ def topk_desc(scores: np.ndarray, k: int) -> np.ndarray:
     if s.ndim != 1:
         raise ShapeError(f"expected a score vector, got shape {s.shape}")
     n = s.shape[0]
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > n:
+    if not _is_int(k) or k < 1 or k > n:
         raise ArgumentError(f"k must be an integer in [1, {n}], got {k!r}")
     key = -s.astype(np.float64, copy=False)
     kth = np.partition(key, k - 1)[k - 1]

@@ -6,24 +6,18 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, RangeViolationError, ShapeError
-from .tensor import _channel_dots, l2_normalize_channels
+from .tensor import _channel_dots, _is_int, l2_normalize_channels
 
 UNIT_NORM_TOL = 1e-5
 PROXY_NORM_TOL = 1e-6
 CORRELATION_SLACK = 1e-5
 
 PROXY_MODES = ("from_maps", "from_ground_truth")
-
-
-def _is_int(v) -> bool:
-    """An integer that is not a bool: JSON ``true`` is no count."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _frozen(x, dtype=None) -> np.ndarray:
@@ -221,11 +215,8 @@ class CorrelationMapStack:
     """
 
     maps: np.ndarray
-    # True only from code that built ``maps`` itself and hands it over: it is
-    # frozen in place instead of copied.
-    _adopt: InitVar[bool] = False
 
-    def __post_init__(self, _adopt):
+    def __post_init__(self):
         arr = np.asarray(self.maps, dtype=np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"expected (N, K, H, W) stack, got shape {arr.shape}")
@@ -242,11 +233,7 @@ class CorrelationMapStack:
                 f"correlation value {arr[n, k, h, w]:.6g} at (image={n}, channel={k}, "
                 f"row={h}, col={w}) exceeds [-1, 1] + {CORRELATION_SLACK}"
             )
-        if _adopt:
-            arr.setflags(write=False)
-        else:
-            arr = _frozen(arr)
-        object.__setattr__(self, "maps", arr)
+        object.__setattr__(self, "maps", _frozen(arr))
 
     @property
     def n_images(self) -> int:

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,16 @@ import pytest
 from hypothesis import settings
 
 import corp
-from corp import FeatureGroup, MapGroup
+from corp import (
+    CorrelationMapStack,
+    FeatureGroup,
+    MapGroup,
+    decode_reference,
+    list_decoders,
+    register_decoder,
+    run_pipeline,
+)
+from corp.oracles import oracle_correlation_transform
 
 # Same examples on every run, no example database, no deadline: hypothesis
 # tests behave like the rest of the suite. A test's own settings override these.
@@ -19,6 +30,45 @@ def subprocess_env(**overrides) -> dict:
     src = str(Path(corp.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **overrides}
+
+
+def patch_worker_count(monkeypatch, count: int) -> None:
+    """Split every per-image pass into ``count`` ranges, in each corp module holding the count."""
+    from corp import tensor
+
+    current = tensor._worker_count
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "corp" and vars(module).get("_worker_count") is current:
+            monkeypatch.setattr(module, "_worker_count", lambda: count)
+
+
+def stack_decoder() -> str:
+    """Name of a registered decoder that runs ``decode_reference`` on the full stack.
+
+    The pipeline picks its decoder by name, so under this name it builds the
+    (N, K, H, W) ``correlation_transform`` stack that "reference" skips.
+    """
+    name = "reference-on-stack"
+    if name not in list_decoders():
+        register_decoder(name, decode_reference)
+    return name
+
+
+def assert_reference_decode_pinned(features, init, cfg, trace) -> None:
+    """The default decode of ``trace`` equals the stack decode, bit for bit.
+
+    Coordinates and maps must equal a run through ``stack_decoder``, and each
+    iteration's maps must equal ``decode_reference`` of the oracle stack.
+    """
+    stacked = run_pipeline(features, init, dataclasses.replace(cfg, decoder=stack_decoder()))
+    assert len(trace) == len(stacked) == cfg.iters
+    for rec, other in zip(trace.records, stacked.records):
+        assert np.array_equal(rec.corep.coords, other.corep.coords)
+        assert rec.maps.maps.tobytes() == other.maps.maps.tobytes()
+        ref = oracle_correlation_transform(features, rec.proxy.vec, rec.corep.embeddings)
+        ref = CorrelationMapStack(np.asarray(ref))
+        oracle_maps = decode_reference(ref, features.height, features.width)
+        assert rec.maps.maps.tobytes() == oracle_maps.maps.tobytes()
 
 
 def random_feature_group(rng, n=2, d=6, h=5, w=5, dtype=np.float32) -> FeatureGroup:

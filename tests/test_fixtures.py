@@ -7,8 +7,8 @@ from corp import (
     ArgumentError,
     FixtureSpec,
     SplitMix64,
+    compute_proxy,
     generate_fixture,
-    proxy_from_ground_truth,
     purity_proportion,
     random_fixture_spec,
     search_corepresentation,
@@ -177,7 +177,7 @@ class TestGenerateFixture:
         # Documented sufficient condition: noise_sigma <= margin / 8.
         spec = random_fixture_spec(7, separation_margin=0.5, noise_sigma=0.05)
         features, gt, _ = generate_fixture(spec)
-        proxy = proxy_from_ground_truth(features, gt)
+        proxy = compute_proxy(features, gt)
         k = int(gt.maps.sum())
         corep = search_corepresentation(features, proxy, min(k, 32))
         assert purity_proportion(corep, gt) == 1.0

@@ -10,7 +10,6 @@ from corp import (
     compute_proxy,
     correlation_transform,
     generate_fixture,
-    proxy_from_ground_truth,
     random_fixture_spec,
     resize_map_group,
     run_pipeline,
@@ -19,7 +18,34 @@ from corp import (
 from corp.errors import DecoderNotFoundError
 from corp.oracles import oracle_correlation_transform, oracle_search
 from corp.pipeline import IterationRecord, IterationTrace
-from conftest import random_feature_group, random_map_group, subprocess_env
+from conftest import (
+    assert_reference_decode_pinned,
+    patch_worker_count,
+    random_feature_group,
+    random_map_group,
+    stack_decoder,
+    subprocess_env,
+)
+
+# The shipped wide shape, plus one and three images so that the split by
+# image gives one range and then ranges of unequal length, and a 1x1 grid,
+# whose channel sums have a single column. Prints one digest per shape.
+THREAD_COUNT_SNIPPET = (
+    "import hashlib, numpy as np\n"
+    "from corp import FeatureGroup, MapGroup, PipelineConfig, run_pipeline\n"
+    "for n, d, hw, k, t in ((20, 512, 28, 45, 6), (1, 64, 12, 16, 3), (3, 64, 12, 16, 3),\n"
+    "                      (4, 64, 1, 3, 3)):\n"
+    "    rng = np.random.default_rng(4242)\n"
+    "    raw = rng.standard_normal((n, d, hw, hw), dtype=np.float32)\n"
+    "    fg = FeatureGroup.from_tensors(list(raw), normalize=True)\n"
+    "    init = MapGroup(rng.random((n, hw, hw), dtype=np.float32))\n"
+    "    tr = run_pipeline(fg, init, PipelineConfig(k=k, iters=t), keep_scores=True)\n"
+    "    h = hashlib.sha256()\n"
+    "    for r in tr.records:\n"
+    "        for a in (r.maps.maps, r.proxy.vec, r.corep.coords, r.scores):\n"
+    "            h.update(a.tobytes())\n"
+    "    print(n, h.hexdigest())\n"
+)
 
 
 def single_pixel_group(embedding):
@@ -77,20 +103,13 @@ class TestComputeProxy:
 
 
 class TestProxyFromGroundTruth:
-    def test_all_ones_gt_equals_unmasked(self, rng):
-        fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
-        gt = MapGroup.all_ones(2, 3, 3)
-        assert np.array_equal(
-            proxy_from_ground_truth(fg, gt).vec, compute_proxy(fg, gt).vec
-        )
-
     def test_single_selected_pixel(self):
         arr = np.zeros((1, 2, 1, 2), dtype=np.float32)
         arr[0, :, 0, 0] = [0.0, 1.0]
         arr[0, :, 0, 1] = [1.0, 0.0]
         fg = FeatureGroup(arr)
         gt = MapGroup(np.array([[[1.0, 0.0]]], dtype=np.float32))
-        p = proxy_from_ground_truth(fg, gt)
+        p = compute_proxy(fg, gt)
         assert np.allclose(p.vec, [0.0, 1.0], atol=1e-7)
 
     def test_half_mask_normalized_mean(self):
@@ -99,7 +118,7 @@ class TestProxyFromGroundTruth:
         arr[0, :, 0, 1] = [0.0, 1.0]
         fg = FeatureGroup(arr)
         gt = MapGroup(np.ones((1, 1, 2), dtype=np.float32))
-        p = proxy_from_ground_truth(fg, gt)
+        p = compute_proxy(fg, gt)
         assert np.allclose(p.vec, [0.70710678, 0.70710678], atol=1e-7)
 
 
@@ -133,41 +152,46 @@ class TestRunPipeline:
         import subprocess
         import sys
 
-        # The shipped wide shape, plus one and three images so that the split
-        # by image gives one range and then ranges of unequal length, and a
-        # 1x1 grid, whose channel sums have a single column. Images
-        # are split over as many threads as OpenBLAS may use, each running its
-        # products on one OpenBLAS thread; under any other BLAS they run on
-        # the calling thread, and the remaining BLAS calls follow the setting.
-        snippet = (
-            "import hashlib, numpy as np\n"
-            "from corp import FeatureGroup, MapGroup, PipelineConfig, run_pipeline\n"
-            "for n, d, hw, k, t in ((20, 512, 28, 45, 6), (1, 64, 12, 16, 3), (3, 64, 12, 16, 3),\n"
-            "                      (4, 64, 1, 3, 3)):\n"
-            "    rng = np.random.default_rng(4242)\n"
-            "    raw = rng.standard_normal((n, d, hw, hw), dtype=np.float32)\n"
-            "    fg = FeatureGroup.from_tensors(list(raw), normalize=True)\n"
-            "    init = MapGroup(rng.random((n, hw, hw), dtype=np.float32))\n"
-            "    tr = run_pipeline(fg, init, PipelineConfig(k=k, iters=t), keep_scores=True)\n"
-            "    h = hashlib.sha256()\n"
-            "    for r in tr.records:\n"
-            "        for a in (r.maps.maps, r.proxy.vec, r.corep.coords, r.scores):\n"
-            "            h.update(a.tobytes())\n"
-            "    print(n, h.hexdigest())\n"
-        )
+        # Images are split over the CPUs the process may use, whatever BLAS
+        # is told; the pipeline's default path makes no BLAS call.
         digests = set()
         for threads in ("1", "2", "4"):
             env = subprocess_env(
                 OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
             )
             out = subprocess.run(
-                [sys.executable, "-c", snippet], env=env, capture_output=True, text=True,
-                timeout=300,
+                [sys.executable, "-c", THREAD_COUNT_SNIPPET], env=env, capture_output=True,
+                text=True, timeout=300,
             )
             assert out.returncode == 0, out.stderr
             assert len(out.stdout.split()) == 8
             digests.add(out.stdout)
         assert len(digests) == 1
+
+    def test_bit_identical_across_worker_counts(self, monkeypatch):
+        import contextlib
+        import io
+
+        outputs = set()
+        for workers in (1, 2, 3, 4):
+            patch_worker_count(monkeypatch, workers)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exec(THREAD_COUNT_SNIPPET, {})
+            assert len(out.getvalue().split()) == 8
+            outputs.add(out.getvalue())
+        assert len(outputs) == 1
+
+    def test_default_decode_calls_no_blas(self, rng, monkeypatch):
+        def no_matmul(*args, **kwargs):
+            raise AssertionError("np.matmul called")
+
+        monkeypatch.setattr(np, "matmul", no_matmul)
+        fg = random_feature_group(rng, n=3, d=16, h=6, w=6)
+        init = random_map_group(rng, n=3, h=6, w=6)
+        assert len(run_pipeline(fg, init, PipelineConfig(k=8, iters=2))) == 2
+        with pytest.raises(AssertionError, match="np.matmul called"):
+            run_pipeline(fg, init, PipelineConfig(k=8, iters=1, decoder=stack_decoder()))
 
     def test_fixed_point_propagates(self, rng):
         # Once two consecutive map groups agree exactly, every later
@@ -278,8 +302,6 @@ class TestTracerContract:
 
         from corp import pipeline, tensor
 
-        if tensor._BLAS_THREADS is None:
-            pytest.skip("numpy does not link an OpenBLAS with thread control")
         calls, part_threads = [], []
 
         def recording(fn):
@@ -317,23 +339,19 @@ class TestTracerContract:
         for m in modules:
             if vars(m).get("_by_image") is by_image:
                 monkeypatch.setattr(m, "_by_image", recording_by_image)
-        get, set_ = tensor._BLAS_THREADS
-        before = get()
-        try:
-            set_(2)
-            if get() < 2:
-                pytest.skip("OpenBLAS allows one thread here")
-            fg = random_feature_group(rng, n=4, d=8, h=6, w=6)
-            init = random_map_group(rng, n=4, h=12, w=12)
-            gt = MapGroup((rng.random((4, 12, 12)) < 0.5).astype(np.float32))
-            cfg = PipelineConfig(k=8, iters=2)
+        patch_worker_count(monkeypatch, 2)
+        fg = random_feature_group(rng, n=4, d=8, h=6, w=6)
+        init = random_map_group(rng, n=4, h=12, w=12)
+        gt = MapGroup((rng.random((4, 12, 12)) < 0.5).astype(np.float32))
+        # The default decode, then a registered decoder that takes the stack.
+        for decoder in ("reference", stack_decoder()):
+            cfg = PipelineConfig(k=8, iters=2, decoder=decoder)
             pipeline.run_pipeline(fg, init, cfg, gt=gt, keep_scores=True)
-        finally:
-            set_(before)
         caller = threading.get_ident()
         names = {name for name, _ in calls}
-        assert {"run_pipeline", "compute_proxy", "score_all", "correlation_transform",
-                "FeatureGroup.__post_init__", "CorrelationMapStack.__post_init__"} <= names
+        assert {"run_pipeline", "compute_proxy", "score_all", "decode_mean",
+                "correlation_transform", "FeatureGroup.__post_init__",
+                "CorrelationMapStack.__post_init__"} <= names
         assert [c for c in calls if c[1] != caller] == []
         assert caller in part_threads and len(set(part_threads)) > 1
 
@@ -376,4 +394,5 @@ class TestShippedScale:
             stack = correlation_transform(fg, rec.proxy, rec.corep, scores=rec.scores)
             ref = np.asarray(oracle_correlation_transform(fg, rec.proxy.vec, rec.corep.embeddings))
             assert np.abs(stack.maps - ref).max() <= 1e-5
+        assert_reference_decode_pinned(fg, init, PipelineConfig(k=k, iters=iters), trace)
 

@@ -1,8 +1,9 @@
-import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corp import (
     ArgumentError,
@@ -19,8 +20,26 @@ from corp import (
     search_corepresentation,
     topk_desc,
 )
-from corp.oracles import oracle_correlation_transform, oracle_search, oracle_scores
-from conftest import random_feature_group, random_map_group
+from corp.oracles import (
+    oracle_correlation_transform,
+    oracle_proxy,
+    oracle_scores,
+    oracle_search,
+    oracle_topk,
+)
+from conftest import assert_reference_decode_pinned, random_feature_group, random_map_group
+
+
+def greedy_capped_selection(scores, n_images, k, cap):
+    """The per-image quota as a loop: walk all scores best first, skip images at their cap."""
+    per_image = len(scores) // n_images
+    taken = [0] * n_images
+    picked = []
+    for i in oracle_topk(scores, len(scores)):
+        if len(picked) < k and taken[i // per_image] < cap:
+            taken[i // per_image] += 1
+            picked.append(i)
+    return picked
 
 
 def single_pixel_group(embedding):
@@ -133,6 +152,26 @@ class TestSearchCorepresentation:
         p = Proxy(vec / np.linalg.norm(vec))
         with pytest.raises(ArgumentError):
             search_corepresentation(fg, p, 10, per_image_cap=4)
+
+    @pytest.mark.parametrize("k, cap", [(True, None), (2.0, None), (4, 2.5), (2, True), (4, "2")])
+    def test_counts_must_be_integers(self, rng, k, cap):
+        fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
+        p = Proxy(np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ArgumentError, match="integer"):
+            search_corepresentation(fg, p, k, per_image_cap=cap)
+
+    # Few distinct values force ties within and across images.
+    TIED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-2, 2))
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_per_image_cap_equals_the_greedy_loop(self, n, h, w, data):
+        scores = np.asarray(data.draw(st.lists(self.TIED, min_size=n * h * w, max_size=n * h * w)))
+        cap = data.draw(st.integers(1, h * w + 2), label="cap")
+        k = data.draw(st.integers(1, n * min(cap, h * w)), label="k")
+        fg = FeatureGroup(np.zeros((n, 1, h, w), dtype=np.float32))
+        corep = search_corepresentation(fg, Proxy(np.ones(1)), k, per_image_cap=cap, scores=scores)
+        flat = [(i * h + y) * w + x for i, y, x in corep.coords.tolist()]
+        assert flat == greedy_capped_selection(scores, n, k, cap)
 
     def test_image_permutation_equivariance(self, rng):
         fg = random_feature_group(rng, n=3, d=6, h=4, w=4)
@@ -270,49 +309,50 @@ class TestUnusualGroupsAgainstOracles:
     def test_every_iteration_matches_the_oracles(self, rng, case):
         fg, k = self.CASES[case](rng)
         init = random_map_group(rng, n=fg.n_images, h=fg.height, w=fg.width)
-        trace = run_pipeline(fg, init, PipelineConfig(k=k, iters=3), keep_scores=True)
+        cfg = PipelineConfig(k=k, iters=3)
+        trace = run_pipeline(fg, init, cfg, keep_scores=True)
         self.assert_trace_matches_oracles(fg, trace, k)
+        assert_reference_decode_pinned(fg, init, cfg, trace)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_capped_run_on_binarized_maps_matches_the_oracles(self, rng, case):
+        fg, k = self.CASES[case](rng)
+        cap = -(-k // fg.n_images)  # the tightest cap that can supply k
+        init = random_map_group(rng, n=fg.n_images, h=fg.height, w=fg.width)
+        cfg = PipelineConfig(k=k, iters=3, per_image_cap=cap, binarize_maps=True)
+        trace = run_pipeline(fg, init, cfg, keep_scores=True)
+        prev, hw, w = init, fg.height * fg.width, fg.width
+        for rec in trace.records:
+            vec, degenerate = oracle_proxy(fg, prev.binarized())
+            assert rec.proxy.degenerate == degenerate
+            assert np.abs(rec.proxy.vec - np.asarray(vec)).max() <= 1e-6
+            scores = oracle_scores(fg, rec.proxy.vec)
+            assert rec.scores.tobytes() == np.asarray(scores, dtype=np.float64).tobytes()
+            picked = greedy_capped_selection(scores, fg.n_images, k, cap)
+            assert rec.corep.coords.tolist() == [[i // hw, i % hw // w, i % w] for i in picked]
+            prev = rec.maps
+        assert_reference_decode_pinned(fg, init, cfg, trace)
 
     def test_zero_mask_takes_the_degenerate_proxy(self, rng):
         fg = tie_heavy_group(rng)
         init = MapGroup(np.zeros((fg.n_images, fg.height, fg.width), dtype=np.float32))
-        trace = run_pipeline(fg, init, PipelineConfig(k=9, iters=1), keep_scores=True)
+        cfg = PipelineConfig(k=9, iters=1)
+        trace = run_pipeline(fg, init, cfg, keep_scores=True)
         assert trace.records[0].proxy.degenerate
         self.assert_trace_matches_oracles(fg, trace, 9)
+        assert_reference_decode_pinned(fg, init, cfg, trace)
 
     def test_zero_proxy_ties_every_score(self, rng):
         # The zero mask falls back to the unmasked average, which is zero too.
         fg = cancelling_group(rng)
         init = MapGroup(np.zeros((fg.n_images, fg.height, fg.width), dtype=np.float32))
-        trace = run_pipeline(fg, init, PipelineConfig(k=5, iters=1), keep_scores=True)
+        cfg = PipelineConfig(k=5, iters=1)
+        trace = run_pipeline(fg, init, cfg, keep_scores=True)
         rec = trace.records[0]
         assert rec.proxy.degenerate and not rec.proxy.vec.any()
         assert rec.corep.coords.tolist() == [[0, 0, c] for c in range(4)] + [[0, 1, 0]]
         self.assert_trace_matches_oracles(fg, trace, 5)
-
-
-class TestOneBlasThread:
-    def test_caps_then_restores_thread_count(self, rng):
-        from corp import tensor
-
-        if tensor._BLAS_THREADS is None:
-            pytest.skip("numpy does not link an OpenBLAS with thread control")
-        get, set_ = tensor._BLAS_THREADS
-        before = get()
-        try:
-            set_(2)
-            with tensor._one_blas_thread():
-                assert get() == 1
-                with tensor._one_blas_thread():
-                    assert get() == 1
-                assert get() == 1
-            assert get() == 2
-            fg = random_feature_group(rng, n=2, d=8, h=3, w=3)
-            proxy = Proxy(np.ones(8) / np.sqrt(8.0))
-            correlation_transform(fg, proxy, search_corepresentation(fg, proxy, 4))
-            assert get() == 2
-        finally:
-            set_(before)
+        assert_reference_decode_pinned(fg, init, cfg, trace)
 
 
 class TestByImage:
@@ -363,36 +403,6 @@ class TestByImage:
         with pytest.raises(RuntimeError, match=f"part {failing}"):
             tensor._by_image(3, 3, part)
         assert sorted(finished) == [w for w in range(3) if w != failing]
-
-    def test_worker_exception_in_transform_restores_blas_count(self, rng, monkeypatch):
-        from corp import tensor
-
-        if tensor._BLAS_THREADS is None:
-            pytest.skip("numpy does not link an OpenBLAS with thread control")
-        get, set_ = tensor._BLAS_THREADS
-        before = get()
-        try:
-            set_(2)
-            if get() < 2:
-                pytest.skip("OpenBLAS allows one thread here")
-            fg = random_feature_group(rng, n=4, d=8, h=3, w=3)
-            proxy = Proxy(np.ones(8) / np.sqrt(8.0))
-            corep = search_corepresentation(fg, proxy, 4)
-            caller, matmul, done = threading.get_ident(), np.matmul, []
-
-            def flaky_matmul(*args, **kwargs):
-                if threading.get_ident() != caller:
-                    raise RuntimeError("worker failed")
-                time.sleep(0.1)
-                done.append(matmul(*args, **kwargs))
-
-            monkeypatch.setattr(np, "matmul", flaky_matmul)
-            with pytest.raises(RuntimeError, match="worker failed"):
-                correlation_transform(fg, proxy, corep)
-            assert len(done) == 2
-            assert get() == 2
-        finally:
-            set_(before)
 
 
 class TestSharedScores:

@@ -58,6 +58,12 @@ class TestTopkDesc:
         with pytest.raises(ArgumentError):
             topk_desc(np.array([1.0, 2.0, 3.0, 4.0]), k)
 
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5, "2"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ArgumentError, match="integer"):
+            topk_desc(np.array([1.0, 2.0, 3.0, 4.0]), k)
+        assert topk_desc(np.array([1.0, 2.0, 3.0, 4.0]), np.int64(2)).tolist() == [3, 2]
+
     def test_oracle_agreement_random(self, rng):
         for _ in range(300):
             n = int(rng.integers(1, 65))

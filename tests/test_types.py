@@ -153,14 +153,11 @@ class TestCorrelationMapStack:
         with pytest.raises(RangeViolationError, match="non-finite"):
             CorrelationMapStack(arr)
 
-    def test_caller_array_copied_adopted_buffer_frozen_in_place(self):
+    def test_caller_array_copied_and_frozen(self):
         arr = np.zeros((1, 1, 2, 2))
         stack = CorrelationMapStack(arr)
         arr[0, 0, 0, 0] = 0.5
         assert stack.maps[0, 0, 0, 0] == 0.0 and not stack.maps.flags.writeable
-        own = np.zeros((1, 1, 2, 2))
-        adopted = CorrelationMapStack(own, _adopt=True)
-        assert adopted.maps is own and not own.flags.writeable
 
 
 class TestPipelineConfig:
