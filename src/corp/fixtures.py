@@ -35,6 +35,10 @@ INIT_MODES = ("gt", "dilated", "ones")
 # shipped specs need a few each; a margin near 1 or a single channel needs
 # more than any bound.
 MAX_DRAWS_PER_DISTRACTOR = 1000
+# Elements (N*D*H*W) of a fixture group, and gaussians random_fixture_spec may
+# draw at worst. About 2 us each in pure Python, so seconds at the bound; it
+# holds 8x the acceptance shape N=10 D=64 28x28.
+MAX_FIXTURE_ELEMENTS = 1 << 22
 
 
 class SplitMix64:
@@ -90,9 +94,9 @@ class FixtureSpec:
     init_mode: str = "dilated"
 
     def __post_init__(self):
-        counts = (self.seed, self.n_images, self.channels, self.height, self.width)
-        if not all(_is_int(v) for v in counts):
-            raise ArgumentError("seed, n_images, channels, height and width must be integers")
+        if not _is_int(self.seed):
+            raise ArgumentError(f"seed must be an integer, got {self.seed!r}")
+        _check_group_size(self.n_images, self.channels, self.height, self.width)
         if not _rows_of(self.planted_regions, numbers.Integral, 4):
             raise ArgumentError("planted_regions must hold (row0, col0, height, width) integers")
         if not (_rows_of((self.co_direction,), numbers.Real)
@@ -100,8 +104,6 @@ class FixtureSpec:
             raise ArgumentError("co_direction and distractor_directions must be number vectors")
         if not all(isinstance(v, numbers.Real) for v in (self.separation_margin, self.noise_sigma)):
             raise ArgumentError("separation_margin and noise_sigma must be numbers")
-        if self.n_images < 1 or self.channels < 1 or self.height < 1 or self.width < 1:
-            raise ArgumentError("n_images, channels, height and width must all be >= 1")
         if len(self.planted_regions) != self.n_images:
             raise ArgumentError(
                 f"need one planted rectangle per image, got {len(self.planted_regions)} "
@@ -119,8 +121,8 @@ class FixtureSpec:
             raise ArgumentError(
                 f"separation_margin must be in (0, 1), got {self.separation_margin}"
             )
-        if self.noise_sigma < 0:
-            raise ArgumentError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ArgumentError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.init_mode not in INIT_MODES:
             raise ArgumentError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         co = np.asarray(self.co_direction, dtype=np.float64)
@@ -142,6 +144,19 @@ class FixtureSpec:
                     f"distractor {j} overlaps the co-direction by {overlap:.4f}, "
                     f"limit is {1.0 - self.separation_margin:.4f}"
                 )
+
+
+def _check_group_size(n_images, channels, height, width) -> None:
+    """Counts must be integers >= 1 whose group fits MAX_FIXTURE_ELEMENTS."""
+    counts = (n_images, channels, height, width)
+    if not all(_is_int(v) for v in counts):
+        raise ArgumentError("n_images, channels, height and width must be integers")
+    if min(counts) < 1:
+        raise ArgumentError("n_images, channels, height and width must all be >= 1")
+    elements = n_images * channels * height * width
+    if elements > MAX_FIXTURE_ELEMENTS:
+        raise ArgumentError(f"a {n_images}x{channels}x{height}x{width} group holds "
+                            f"{elements} elements, over the bound of {MAX_FIXTURE_ELEMENTS}")
 
 
 def _rows_of(rows, kind, length: int | None = None) -> bool:
@@ -177,12 +192,22 @@ def random_fixture_spec(
     Directions come from the seeded generator; distractors are drawn by
     rejection until they respect the separation margin, at most
     ``MAX_DRAWS_PER_DISTRACTOR`` draws each. Rectangles land at seeded
-    positions, one per image.
+    positions, one per image. Sizes are checked against
+    ``MAX_FIXTURE_ELEMENTS`` before anything is drawn.
     """
-    if not _is_int(n_distractors):
-        raise ArgumentError(f"n_distractors must be an integer, got {n_distractors!r}")
+    _check_group_size(n_images, channels, height, width)
+    if not (_is_int(n_distractors) and _is_int(region_size)):
+        raise ArgumentError("n_distractors and region_size must be integers, got "
+                            f"{n_distractors!r} and {region_size!r}")
+    if channels * (1 + n_distractors * MAX_DRAWS_PER_DISTRACTOR) > MAX_FIXTURE_ELEMENTS:
+        raise ArgumentError(
+            f"{n_distractors} distractors in {channels} channels may take more than "
+            f"{MAX_FIXTURE_ELEMENTS} gaussian draws; lower n_distractors or channels"
+        )
     if not isinstance(separation_margin, numbers.Real) or not 0.0 < separation_margin < 1.0:
         raise ArgumentError(f"separation_margin must be in (0, 1), got {separation_margin!r}")
+    if region_size > height or region_size > width:
+        raise ArgumentError(f"region_size {region_size} exceeds the {height}x{width} grid")
     rng = SplitMix64(seed)
     co = _unit(np.asarray(rng.gaussians(channels)))
     distractors = []
@@ -197,8 +222,6 @@ def random_fixture_spec(
                 f"no distractor within separation_margin {separation_margin} after "
                 f"{MAX_DRAWS_PER_DISTRACTOR} draws in {channels} channels; lower the margin"
             )
-    if region_size > height or region_size > width:
-        raise ArgumentError(f"region_size {region_size} exceeds the {height}x{width} grid")
     regions = []
     for _ in range(n_images):
         r0 = rng.next_u64() % (height - region_size + 1)

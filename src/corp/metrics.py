@@ -6,7 +6,12 @@ Conventions, fixed here once and mirrored by the naive oracle implementations:
 * Threshold grid: tau_k = k / 256 for k = 0..255. All 256 thresholds lie
   strictly below 1, so a binary map binarizes back to itself at every
   threshold and identical (pred, gt) pairs score their ideal values.
-* Binarization of predictions is strict: pred > tau.
+* Binarization of predictions is strict, pred > tau, and is counted, not
+  materialized: F and E need only the true- and false-positive counts per
+  threshold. With b = ceil(256 * pred), an integer in 0..256, pred > k/256
+  <=> b > k holds exactly (scaling by 256 is exact in binary floating
+  point), so one histogram of b per gt class, summed from the top bin down,
+  gives the counts that comparing each pixel with each threshold gives.
 * eps = 1e-8 regularizes every ratio; it enters numerator and denominator
   symmetrically in the similarity ratios, so exact agreement scores
   exactly 1 regardless of foreground size.
@@ -60,23 +65,28 @@ def mae(pred: MapGroup, gt: MapGroup) -> float:
     return float(np.mean(per_image))
 
 
-def _image_f_curve(p: np.ndarray, g: np.ndarray, beta_sq: float) -> tuple[np.ndarray, bool]:
-    """Per-threshold F scores for one image; flags zero-foreground gt."""
+def _threshold_counts(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``(tp, fp, n_fg, hw)`` of one image; tp and fp are float64 over the 256 thresholds."""
+    b = np.ceil(p.ravel() * 256.0).astype(np.intp)
     fg = g.ravel()
-    n_fg = int(fg.sum())
+    hist = np.stack([np.bincount(b[fg], minlength=257), np.bincount(b[~fg], minlength=257)])
+    # Mass above bin k for k = 0..255: a cumsum from the top bin down, bin 0 dropped.
+    tp, fp = hist[:, ::-1].cumsum(axis=1)[:, -2::-1].astype(np.float64)
+    return tp, fp, int(fg.sum()), fg.size
+
+
+def _f_curve(counts, beta_sq: float) -> np.ndarray:
+    """Per-threshold F scores of one image; zero-foreground gt scores 0 throughout."""
+    tp, fp, n_fg, _ = counts
     if n_fg == 0:
-        return np.zeros(256, dtype=np.float64), True
-    binpred = p.ravel()[None, :] > THRESHOLDS[:, None]
-    tp = (binpred & fg[None, :]).sum(axis=1).astype(np.float64)
-    fp = (binpred & ~fg[None, :]).sum(axis=1).astype(np.float64)
+        return np.zeros(256, dtype=np.float64)
     predicted = tp + fp
     precision = np.divide(tp, predicted, out=np.zeros(256), where=predicted > 0)
     recall = tp / n_fg
     denom = beta_sq * precision + recall
-    f = np.divide(
+    return np.divide(
         (1.0 + beta_sq) * precision * recall, denom, out=np.zeros(256), where=denom > 0
     )
-    return f, False
 
 
 def f_measure_curve(pred: MapGroup, gt: MapGroup, beta_sq: float = DEFAULT_BETA_SQ) -> np.ndarray:
@@ -86,8 +96,8 @@ def f_measure_curve(pred: MapGroup, gt: MapGroup, beta_sq: float = DEFAULT_BETA_
     threshold.
     """
     p, g = _pair(pred, gt)
-    curves = np.stack([_image_f_curve(p[n], g[n], beta_sq)[0] for n in range(p.shape[0])])
-    return curves.mean(axis=0)
+    curves = [_f_curve(_threshold_counts(p[n], g[n]), beta_sq) for n in range(p.shape[0])]
+    return np.stack(curves).mean(axis=0)
 
 
 def _object_similarity(x: np.ndarray) -> float:
@@ -142,37 +152,31 @@ def s_measure(pred: MapGroup, gt: MapGroup, alpha: float = DEFAULT_S_ALPHA) -> f
     return float(np.mean([_image_s(p[n], g[n], alpha) for n in range(p.shape[0])]))
 
 
-def _alignment(phi_g: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
+def _alignment(phi_g: float, phi_p: np.ndarray) -> np.ndarray:
     xi = (2.0 * phi_g * phi_p + EPS) / (phi_g * phi_g + phi_p * phi_p + EPS)
     return (xi + 1.0) ** 2 / 4.0
 
 
-def _image_e(p: np.ndarray, g: np.ndarray) -> float:
-    hw = g.size
-    binpred = p.ravel()[None, :] > THRESHOLDS[:, None]
-    fg_bin = binpred.sum(axis=1).astype(np.float64)
-    if not g.any():
-        e_tau = 1.0 - fg_bin / hw
-        return float(e_tau.mean())
-    if g.all():
-        return float((fg_bin / hw).mean())
-    # Mixed gt: the alignment map takes one of four values per threshold,
-    # fixed by the (gt, binarized pred) pixel class, so per-class counts
-    # suffice.
-    fg = g.ravel()
-    mu_g = float(fg.sum()) / hw
-    tp = (binpred & fg[None, :]).sum(axis=1).astype(np.float64)
-    fp = (binpred & ~fg[None, :]).sum(axis=1).astype(np.float64)
-    fn = float(fg.sum()) - tp
+def _e_mean(counts) -> float:
+    tp, fp, n_fg, hw = counts
+    predicted = tp + fp
+    if n_fg == 0:
+        return float((1.0 - predicted / hw).mean())
+    if n_fg == hw:
+        return float((predicted / hw).mean())
+    # Mixed gt: per threshold the alignment map takes one of four values, one
+    # per (gt, binarized pred) pixel class, so the class counts suffice.
+    mu_g = float(n_fg) / hw
+    fn = float(n_fg) - tp
     tn = hw - tp - fp - fn
-    mu_p = (tp + fp) / hw
+    mu_p = predicted / hw
     phi_g_fg, phi_g_bg = 1.0 - mu_g, -mu_g
     phi_p_fg, phi_p_bg = 1.0 - mu_p, -mu_p
     e_tau = (
-        tp * _alignment(np.full(256, phi_g_fg), phi_p_fg)
-        + fn * _alignment(np.full(256, phi_g_fg), phi_p_bg)
-        + fp * _alignment(np.full(256, phi_g_bg), phi_p_fg)
-        + tn * _alignment(np.full(256, phi_g_bg), phi_p_bg)
+        tp * _alignment(phi_g_fg, phi_p_fg)
+        + fn * _alignment(phi_g_fg, phi_p_bg)
+        + fp * _alignment(phi_g_bg, phi_p_fg)
+        + tn * _alignment(phi_g_bg, phi_p_bg)
     ) / hw
     return float(e_tau.mean())
 
@@ -180,7 +184,7 @@ def _image_e(p: np.ndarray, g: np.ndarray) -> float:
 def e_measure_mean(pred: MapGroup, gt: MapGroup) -> float:
     """Enhanced-alignment measure averaged over thresholds and images."""
     p, g = _pair(pred, gt)
-    return float(np.mean([_image_e(p[n], g[n]) for n in range(p.shape[0])]))
+    return float(np.mean([_e_mean(_threshold_counts(p[n], g[n])) for n in range(p.shape[0])]))
 
 
 @dataclass(frozen=True)
@@ -227,24 +231,19 @@ def evaluate(
     if len(image_ids) != n:
         raise ShapeError(f"got {len(image_ids)} image ids for {n} images")
 
-    curves = []
-    flagged = []
-    rows = []
-    for i in range(n):
-        curve, flag = _image_f_curve(p[i], g[i], beta_sq)
-        curves.append(curve)
-        if flag:
-            flagged.append(i)
-        rows.append(
-            ImageMetrics(
-                image_id=image_ids[i],
-                mae=float(np.abs(p[i] - g[i].astype(np.float64)).mean()),
-                f_max=float(curve.max()),
-                f_avg=float(curve.mean()),
-                s_measure=_image_s(p[i], g[i], s_alpha),
-                e_mean=_image_e(p[i], g[i]),
-            )
+    counts = [_threshold_counts(p[i], g[i]) for i in range(n)]
+    curves = [_f_curve(c, beta_sq) for c in counts]
+    rows = [
+        ImageMetrics(
+            image_id=image_ids[i],
+            mae=float(np.abs(p[i] - g[i].astype(np.float64)).mean()),
+            f_max=float(curves[i].max()),
+            f_avg=float(curves[i].mean()),
+            s_measure=_image_s(p[i], g[i], s_alpha),
+            e_mean=_e_mean(counts[i]),
         )
+        for i in range(n)
+    ]
     group_curve = np.stack(curves).mean(axis=0)
     return MetricReport(
         mae=float(np.mean([r.mae for r in rows])),
@@ -253,7 +252,7 @@ def evaluate(
         s_measure=float(np.mean([r.s_measure for r in rows])),
         e_mean=float(np.mean([r.e_mean for r in rows])),
         per_image=tuple(rows),
-        zero_foreground=tuple(flagged),
+        zero_foreground=tuple(i for i, (_, _, n_fg, _) in enumerate(counts) if n_fg == 0),
     )
 
 

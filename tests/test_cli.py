@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corp import generate_fixture, random_fixture_spec, read_map_pgm, write_map_pgm, write_tensor
 from corp.cli import main
@@ -319,8 +325,11 @@ class TestFixturesCommand:
         b'"separation_margin": 0.5, "noise_sigma": 0.0}',
         b'\xff\xfe{"seed": 1}',
         b'{"seed": 1, "n_images": true}',
+        b'{"seed": 1, "noise_sigma": NaN}',
+        b'{"seed": 1, "height": 1000000000, "width": 1000000000}',
     ], ids=["not-an-object", "string-count", "float-seed", "null-field",
-            "scalar-regions", "short-region", "explicit-float-seed", "not-utf8", "bool-images"])
+            "scalar-regions", "short-region", "explicit-float-seed", "not-utf8", "bool-images",
+            "nan-noise", "huge-grid"])
     def test_bad_spec_exits_2(self, tmp_path, capsys, raw):
         bad = tmp_path / "spec.json"
         bad.write_bytes(raw)
@@ -335,7 +344,9 @@ class TestFixturesCommand:
         b'{"seed": 1, "separation_margin": 1}',
         b'{"seed": 1, "n_distractors": 2.5}',
         b'{"seed": 1, "n_distractors": true}',
-    ], ids=["margin-near-1", "one-channel", "nan-margin", "margin-1", "float-count", "bool-count"])
+        b'{"seed": 1, "channels": 1000000000}',
+    ], ids=["margin-near-1", "one-channel", "nan-margin", "margin-1", "float-count", "bool-count",
+            "huge-channels"])
     def test_generated_spec_ends_without_hang(self, tmp_path, raw):
         spec = tmp_path / "spec.json"
         spec.write_bytes(raw)
@@ -359,3 +370,64 @@ class TestGradcheck:
     def test_negative_seed_exits_2(self, capsys):
         assert main(["gradcheck", "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:argument:")
+
+
+
+_ODD_VALUES = st.sampled_from(
+    [None, True, "2", [1], 0, -1, 2.5, 10 ** 9, float("nan"), float("inf"), -0.5]
+)
+
+
+@st.composite
+def _spec_json(draw):
+    """A small valid spec, generated or explicit, with at most one field dropped or corrupted."""
+    n, c = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    h, w = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    spec = {
+        "seed": draw(st.integers(0, 2 ** 64 - 1)),
+        "n_images": n, "channels": c, "height": h, "width": w,
+        "separation_margin": draw(st.floats(0.05, 0.95)),
+        "noise_sigma": draw(st.floats(0.0, 0.2)),
+        "init_mode": draw(st.sampled_from(["gt", "dilated", "ones"])),
+    }
+    if draw(st.booleans()):
+        spec["region_size"] = draw(st.integers(1, min(h, w)))
+        spec["n_distractors"] = draw(st.integers(1, 4))
+    else:
+        regions = []
+        for _ in range(n):
+            r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+            regions.append([r0, c0, draw(st.integers(1, h - r0)), draw(st.integers(1, w - c0))])
+        spec["planted_regions"] = regions
+        spec["co_direction"] = [1.0] + [0.0] * (c - 1)
+        spec["distractor_directions"] = [[0.0, 1.0] + [0.0] * (c - 2)]
+    action = draw(st.sampled_from(["keep", "drop", "corrupt"]))
+    key = draw(st.sampled_from(sorted(spec)))
+    if action == "drop":
+        del spec[key]
+    elif action == "corrupt":
+        spec[key] = draw(_ODD_VALUES)
+    return spec
+
+
+class TestFixtureSpecFuzz:
+    @given(spec=_spec_json())
+    def test_spec_gives_fixture_or_argument_error(self, spec):
+        """Every spec writes 3 files per image with exit 0, or exits 2 with one error line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_file = Path(tmp) / "spec.json"
+            spec_file.write_text(json.dumps(spec))
+            out, err = Path(tmp) / "out", io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["fixtures", "--spec", str(spec_file), "--out", str(out)])
+            if code == 0:
+                n = spec.get("n_images", 3)
+                written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+                assert written == sorted(
+                    f"{sub}/img_{i:03d}.{ext}" for i in range(n)
+                    for sub, ext in (("features", "crpt"), ("gt", "pgm"), ("init", "pgm"))
+                )
+            else:
+                assert code == 2
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:argument:")

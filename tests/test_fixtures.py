@@ -13,6 +13,8 @@ from corp import (
     random_fixture_spec,
     search_corepresentation,
 )
+from corp import fixtures
+from corp.fixtures import MAX_DRAWS_PER_DISTRACTOR, MAX_FIXTURE_ELEMENTS
 
 
 class TestSplitMix64:
@@ -87,6 +89,8 @@ class TestFixtureSpecValidation:
         ("n_images", "1"),
         ("n_images", True),
         ("noise_sigma", None),
+        ("noise_sigma", float("nan")),
+        ("noise_sigma", float("inf")),
     ])
     def test_wrong_field_type_or_shape_rejected(self, field, value):
         fields = dict(
@@ -99,6 +103,37 @@ class TestFixtureSpecValidation:
         fields[field] = value
         with pytest.raises(ArgumentError):
             FixtureSpec(**fields)
+
+
+class TestSizeBound:
+    """Oversized specs are refused before anything is drawn or allocated."""
+
+    def spec(self, width):
+        return FixtureSpec(
+            seed=1, n_images=1, channels=2, height=1, width=width,
+            planted_regions=((0, 0, 1, 1),), co_direction=(1.0, 0.0),
+            distractor_directions=((0.0, 1.0),), separation_margin=0.5, noise_sigma=0.0,
+        )
+
+    def test_group_at_bound_accepted(self):
+        # A spec holds no group, so this allocates nothing.
+        assert self.spec(MAX_FIXTURE_ELEMENTS // 2).width == MAX_FIXTURE_ELEMENTS // 2
+
+    def test_group_over_bound_rejected(self):
+        with pytest.raises(ArgumentError, match="elements"):
+            self.spec(MAX_FIXTURE_ELEMENTS // 2 + 1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"channels": 10 ** 9},
+        {"height": 10 ** 9, "width": 10 ** 9},
+        {"n_images": MAX_FIXTURE_ELEMENTS},
+        {"n_distractors": MAX_FIXTURE_ELEMENTS // (16 * MAX_DRAWS_PER_DISTRACTOR) + 1},
+        {"region_size": True},
+    ])
+    def test_random_spec_checks_sizes_before_drawing(self, monkeypatch, kwargs):
+        monkeypatch.setattr(fixtures, "SplitMix64", None)  # any draw would raise TypeError
+        with pytest.raises(ArgumentError):
+            random_fixture_spec(1, **kwargs)
 
 
 class TestRandomFixtureSpec:

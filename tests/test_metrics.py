@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from corp import (
     evaluate,
     f_measure_curve,
     mae,
+    read_map_pgm,
     s_measure,
+    write_map_pgm,
     write_metrics_csv,
 )
-from corp.metrics import THRESHOLDS
+from corp.cli import main
+from corp.metrics import THRESHOLDS, _threshold_counts
 from corp.oracles import oracle_e_mean, oracle_f_curve, oracle_mae, oracle_s_measure
 from conftest import random_binary_group, random_map_group
 
@@ -223,3 +227,96 @@ class TestEvaluateAndCsv:
         assert rows[0] == ["group", "image", "mae", "fmax", "favg", "smeasure", "emean"]
         assert [r[1] for r in rows[1:]] == ["a", "b", "c", "__group__"]
         assert all(r[0] == "demo" for r in rows[1:])
+
+
+@st.composite
+def _edge_image(draw):
+    """(pred, gt) of one image whose values sit on, or one ulp beside, the thresholds."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = st.integers(0, 256)
+    on_grid = k.map(lambda k: dtype(k / 256))
+    below = k.map(lambda k: np.nextafter(dtype(k / 256), dtype(0)))
+    above = k.map(lambda k: np.nextafter(dtype(k / 256), dtype(1)))
+    value = st.one_of(on_grid, below, above, st.sampled_from([0.0, -0.0, 1.0]),
+                      st.floats(0, 1, width=32 if dtype is np.float32 else 64))
+    pred = np.array(draw(st.lists(value, min_size=h * w, max_size=h * w)), dtype=dtype)
+    gt_kind = draw(st.sampled_from(["mixed", "all-fg", "all-bg"]))
+    if gt_kind == "mixed":
+        gt = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+    else:
+        gt = np.full(h * w, gt_kind == "all-fg")
+    return pred.reshape(h, w), gt.reshape(h, w)
+
+
+class TestThresholdCounts:
+    @given(_edge_image())
+    @settings(max_examples=300)
+    def test_equal_to_boolean_threshold_matrices(self, image):
+        pred, gt = image
+        binpred = pred.ravel()[None, :] > THRESHOLDS[:, None]
+        fg = gt.ravel()[None, :]
+        tp, fp, n_fg, hw = _threshold_counts(pred, gt)
+        assert tp.dtype == fp.dtype == np.float64
+        assert np.array_equal(tp, (binpred & fg).sum(axis=1))
+        assert np.array_equal(fp, (binpred & ~fg).sum(axis=1))
+        assert (n_fg, hw) == (int(gt.sum()), gt.size)
+
+
+def _soft_group(seed: int, n: int = 10, h: int = 224, w: int = 224):
+    """Noisy soft predictions around rectangle GT; image 0 has all-background GT."""
+    r = np.random.default_rng(seed)
+    gt = np.zeros((n, h, w), dtype=np.float32)
+    pred = np.empty((n, h, w), dtype=np.float32)
+    for i in range(n):
+        if i > 0:
+            rh, rw = (int(v) for v in r.integers(h // 8, h // 2, size=2))
+            r0, c0 = int(r.integers(0, h - rh + 1)), int(r.integers(0, w - rw + 1))
+            gt[i, r0:r0 + rh, c0:c0 + rw] = 1.0
+        shifted = np.roll(gt[i], tuple(int(v) for v in r.integers(-6, 7, size=2)), axis=(0, 1))
+        pred[i] = np.clip(0.15 + 0.7 * shifted + 0.15 * r.standard_normal((h, w)), 0.0, 1.0)
+    return pred, gt
+
+
+def _report_hex(report) -> tuple[list[str], str]:
+    """float.hex of the group fields, and a sha256 over every per-image field's float.hex."""
+    fields = ("mae", "f_max", "f_avg", "s_measure", "e_mean")
+    group_hex = [float.hex(getattr(report, f)) for f in fields]
+    rows = [row.image_id + ":" + ",".join(float.hex(getattr(row, f)) for f in fields)
+            for row in report.per_image]
+    return group_hex, hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+# Recorded with the boolean-threshold-matrix metrics; the histogram counts
+# must reproduce every bit.
+PINNED_EVAL = {
+    11: ("8e003eb3f43390bea3b9405f015213e3a1349e0ba5636338e0c5e40ed9d7aaf3",
+         ["0x1.62f67660f23ebp-3", "0x1.95f9b70e26709p-1", "0x1.0935f9adaa1adp-1",
+          "0x1.4f096b91cc296p-1", "0x1.66050556f623ep-1"],
+         "a3503944909d938d2975f1bebdf5cf6ba42b874d6e288ef2a67d077b1c39a563"),
+    12: ("e6f6b6ef7582f886d58e9ed0e5d91772cb6ece23e702d272494c759ad1567fd6",
+         ["0x1.61441eee6dbf4p-3", "0x1.93f97c80e1705p-1", "0x1.09130c0907254p-1",
+          "0x1.4ba5187202d3dp-1", "0x1.662ab4443b7cep-1"],
+         "af5bc1834da007deb2d469d27aa50ac6b13740d1148813f6e475643eb7857982"),
+}
+
+
+class TestPinnedEval224:
+    @pytest.mark.parametrize("seed", sorted(PINNED_EVAL))
+    def test_csv_and_report_bits_pinned(self, tmp_path, seed):
+        pred, gt = _soft_group(seed)
+        for sub, maps in (("pred", pred), ("gt", gt)):
+            (tmp_path / sub).mkdir()
+            for i, m in enumerate(maps):
+                write_map_pgm(tmp_path / sub / f"img_{i:03d}.pgm", m)
+        out = tmp_path / "metrics.csv"
+        assert main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--out", str(out)]) == 0
+        csv_sha, group_hex, rows_sha = PINNED_EVAL[seed]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        stems = [f"img_{i:03d}" for i in range(len(pred))]
+        loaded = [MapGroup(np.stack([read_map_pgm(tmp_path / sub / f"{s}.pgm") for s in stems]))
+                  for sub in ("pred", "gt")]
+        report = evaluate(*loaded, image_ids=stems)
+        assert _report_hex(report) == (group_hex, rows_sha)
+        assert report.zero_foreground == (0,)
