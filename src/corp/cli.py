@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ from .fixtures import FixtureSpec, generate_fixture, random_fixture_spec
 from .losses import iou_grad_check
 from .metrics import evaluate, write_metrics_csv
 from .pipeline import run_pipeline
-from .storage import read_map_pgm, read_tensor, write_map_pgm, write_tensor
+from .storage import _atomic_write, read_map_pgm, read_tensor, write_map_pgm, write_tensor
 from .types import FeatureGroup, MapGroup, PipelineConfig
 
 _EXIT_CODES = {"argument": 2, "format": 3, "shape": 4}
@@ -165,28 +164,16 @@ def _write_trace(out_dir: Path, stems: list[str], trace) -> None:
             "degenerate": rec.proxy.degenerate,
             "purity": rec.purity,
         }))
-    _atomic_text(trace_dir / "trace.jsonl", "".join(line + "\n" for line in lines))
+    _atomic_write(trace_dir / "trace.jsonl", "".join(line + "\n" for line in lines))
 
 
 def _dump_scores(path: Path, stems: list[str], trace, height: int, width: int) -> None:
-    rows = ["iteration,image,row,col,score"]
+    prefixes = [f"{stem},{y},{x}," for stem in stems for y in range(height) for x in range(width)]
+    rows = ["iteration,image,row,col,score\n"]
     for rec in trace.records:
-        scores = rec.scores.reshape(len(stems), height, width)
-        for i, stem in enumerate(stems):
-            for y in range(height):
-                for x in range(width):
-                    rows.append(f"{rec.iteration},{stem},{y},{x},{scores[i, y, x]:.17g}")
-    _atomic_text(path, "".join(r + "\n" for r in rows))
-
-
-def _atomic_text(path: Path, text: str) -> None:
+        rows += [f"{rec.iteration},{p}{s:.17g}\n" for p, s in zip(prefixes, rec.scores.tolist())]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile(
-        "w", dir=str(path.parent), prefix=path.name, suffix=".tmp", delete=False
-    ) as fh:
-        fh.write(text)
-        tmp = fh.name
-    Path(tmp).replace(path)
+    _atomic_write(path, "".join(rows))
 
 
 def cmd_eval(args) -> int:

@@ -33,17 +33,10 @@ def decode_mean(mean_maps: np.ndarray, out_h: int, out_w: int) -> MapGroup:
     exceeds a tiny epsilon (otherwise the image decodes to all zeros), then
     bilinear-resize to (out_h, out_w).
     """
-    out = np.empty((mean_maps.shape[0], out_h, out_w), dtype=np.float32)
-    for n, fused in enumerate(mean_maps):
-        fused = np.maximum(fused, 0.0)
-        peak = float(fused.max())
-        if peak > MAX_EPS:
-            fused = fused / peak
-        else:
-            fused = np.zeros_like(fused)
-        resized = bilinear_resize(fused, out_h, out_w)
-        out[n] = np.clip(resized, 0.0, 1.0).astype(np.float32)
-    return MapGroup(out)
+    fused = np.maximum(mean_maps, 0.0)
+    peak = fused.max(axis=(1, 2), keepdims=True)
+    fused = np.divide(fused, peak, out=np.zeros_like(fused), where=peak > MAX_EPS)
+    return MapGroup(np.clip(bilinear_resize(fused, out_h, out_w), 0.0, 1.0).astype(np.float32))
 
 
 def decode_reference(stack: CorrelationMapStack, out_h: int, out_w: int) -> MapGroup:

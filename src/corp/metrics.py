@@ -24,12 +24,14 @@ Conventions, fixed here once and mirrored by the naive oracle implementations:
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError
+from .storage import _atomic_write
 from .types import MapGroup
 
 __all__ = [
@@ -260,21 +262,14 @@ def write_metrics_csv(path, group: str, report: MetricReport) -> None:
     """Write per-image rows (lexicographic by image id) plus the aggregate.
 
     Columns: group,image,mae,fmax,favg,smeasure,emean. The aggregate row
-    uses the image id ``__group__`` and comes last.
+    uses the image id ``__group__`` and comes last. Rows end in CRLF, as the
+    csv module writes them.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "image", "mae", "fmax", "favg", "smeasure", "emean"])
-        for row in sorted(report.per_image, key=lambda r: r.image_id):
-            writer.writerow(
-                [group, row.image_id]
-                + [f"{v:.9f}" for v in (row.mae, row.f_max, row.f_avg, row.s_measure, row.e_mean)]
-            )
-        writer.writerow(
-            [group, "__group__"]
-            + [
-                f"{v:.9f}"
-                for v in (report.mae, report.f_max, report.f_avg, report.s_measure, report.e_mean)
-            ]
-        )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["group", "image", "mae", "fmax", "favg", "smeasure", "emean"])
+    rows = [(r.image_id, r) for r in sorted(report.per_image, key=lambda r: r.image_id)]
+    for image_id, r in rows + [("__group__", report)]:
+        values = (r.mae, r.f_max, r.f_avg, r.s_measure, r.e_mean)
+        writer.writerow([group, image_id] + [f"{v:.9f}" for v in values])
+    _atomic_write(Path(path), text.getvalue())

@@ -80,10 +80,7 @@ def resize_map_group(maps: MapGroup, height: int, width: int) -> MapGroup:
     """Bilinear-resize every map in the group; same-size input passes through."""
     if (maps.height, maps.width) == (height, width):
         return maps
-    out = np.empty((maps.n_images, height, width), dtype=maps.maps.dtype)
-    for n in range(maps.n_images):
-        out[n] = np.clip(bilinear_resize(maps.maps[n], height, width), 0.0, 1.0)
-    return MapGroup(out)
+    return MapGroup(np.clip(bilinear_resize(maps.maps, height, width), 0.0, 1.0))
 
 
 def compute_proxy(

@@ -2,8 +2,9 @@
 
 CRPT layout, all little endian: magic ``CRPT``, version u8 (= 1), dtype u8
 (1 = float32, 2 = float64), ndim u8, then ndim u32 extents, then the
-row-major scalar payload. Writes go through a temp file plus rename, so
-readers never observe partial files.
+row-major scalar payload. Every file corp writes (tensors, maps, CSVs, the
+trace) goes through one temp file plus rename, so readers never observe
+partial files.
 
 PGM maps are 8-bit binary P5 with maxval 255. Reading divides by 255 into
 [0, 1]; writing multiplies by 255 and rounds half up, so a map survives
@@ -39,7 +40,14 @@ _DTYPE_CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, data: bytes | str) -> None:
+    """Temp file plus rename; a failed write leaves neither file behind.
+
+    Text is encoded here only, as UTF-8 with surrogateescape: a file name
+    that is not valid UTF-8 keeps its own bytes, whatever the locale.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogateescape")
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

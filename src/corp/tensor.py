@@ -165,18 +165,19 @@ def _masked_gap(feat: np.ndarray, mask: np.ndarray, buf: np.ndarray) -> np.ndarr
 
 
 def bilinear_resize(m: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize an H x W map with half-pixel-center bilinear interpolation.
+    """Half-pixel-center bilinear resize of the last two axes of a (..., H, W) array.
 
     Source coordinates are src = (dst + 0.5) * in / out - 0.5, clamped to the
     valid range. Interpolation uses the lerp form a + f * (b - a), so constant
-    maps come back bit-identical and same-size resizing is the identity.
+    maps come back bit-identical and same-size resizing is the identity. Each
+    map gets the bits it would get on its own; indices and weights are shared.
     """
     m = np.asarray(m)
-    if m.ndim != 2:
-        raise ShapeError(f"expected an H x W map, got shape {m.shape}")
+    if m.ndim < 2:
+        raise ShapeError(f"expected a (..., H, W) array, got shape {m.shape}")
     if out_h < 1 or out_w < 1:
         raise ArgumentError(f"output sizes must be >= 1, got {out_h} x {out_w}")
-    h, w = m.shape
+    h, w = m.shape[-2:]
     m64 = m.astype(np.float64, copy=False)
     ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
@@ -186,11 +187,11 @@ def bilinear_resize(m: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = ys - y0
     fx = xs - x0
-    v00 = m64[np.ix_(y0, x0)]
-    v01 = m64[np.ix_(y0, x1)]
-    v10 = m64[np.ix_(y1, x0)]
-    v11 = m64[np.ix_(y1, x1)]
-    top = v00 + fx[None, :] * (v01 - v00)
-    bot = v10 + fx[None, :] * (v11 - v10)
+    v00 = m64[..., y0[:, None], x0]
+    v01 = m64[..., y0[:, None], x1]
+    v10 = m64[..., y1[:, None], x0]
+    v11 = m64[..., y1[:, None], x1]
+    top = v00 + fx * (v01 - v00)
+    bot = v10 + fx * (v11 - v10)
     out = top + fy[:, None] * (bot - top)
     return out.astype(m.dtype, copy=False)

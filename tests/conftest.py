@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import corp
 from corp import (
@@ -17,6 +18,7 @@ from corp import (
     register_decoder,
     run_pipeline,
 )
+from corp.decoder import MAX_EPS
 from corp.oracles import oracle_correlation_transform
 
 # Same examples on every run, no example database, no deadline: hypothesis
@@ -91,6 +93,33 @@ def random_binary_group(rng, n=2, h=8, w=8, fg_prob=0.4) -> MapGroup:
                 maps[i] = m
                 break
     return MapGroup(maps)
+
+
+@st.composite
+def map_stacks(draw):
+    """``(maps, out_h, out_w)``: an (N, H, W) float32 or float64 stack and a target grid.
+
+    Sides run 1..39, and one draw in four keeps the grid. Each image is drawn
+    on its own: uniform in [-1, 1], mostly +0.0 and -0.0, all negative, or
+    with a peak near ``decoder.MAX_EPS`` (one pixel set to it exactly).
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 39)), draw(st.integers(1, 39))
+    same = draw(st.integers(0, 3)) == 0
+    out_h, out_w = (h, w) if same else (draw(st.integers(1, 39)), draw(st.integers(1, 39)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = np.empty((n, h, w), dtype=dtype)
+    for i, kind in enumerate(draw(st.lists(st.sampled_from("uznt"), min_size=n, max_size=n))):
+        m = rng.uniform(-1.0, 1.0, (h, w))
+        if kind == "z":
+            m = rng.choice([0.0, -0.0, 0.0, -0.0, 0.25], (h, w))
+        elif kind == "n":
+            m = -np.abs(m)
+        elif kind == "t":
+            m = m * MAX_EPS * rng.choice([0.5, 1.0, 2.0])
+            m.flat[rng.integers(m.size)] = MAX_EPS
+        maps[i] = m
+    return maps, out_h, out_w
 
 
 @pytest.fixture

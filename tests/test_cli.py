@@ -1,7 +1,9 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corp import generate_fixture, random_fixture_spec, read_map_pgm, write_map_pgm, write_tensor
+from corp import storage
 from corp.cli import main
 from conftest import subprocess_env
 
@@ -25,6 +28,27 @@ def fixture_dirs(tmp_path):
     data_dir = tmp_path / "data"
     assert main(["fixtures", "--spec", str(spec_file), "--out", str(data_dir)]) == 0
     return data_dir
+
+
+# Recorded with the per-pixel score dump and the tempfile text writer that
+# came before the shared storage writer; same inputs must give these bytes.
+PINNED_RUN_TEXT = {
+    "scores.csv": "5bfd38ce25fbc85d6e820b6336049509d5d9e4bcf76dd0f8ae83918153c6eb01",
+    "trace.jsonl": "250271bead14c1e5888f7a6afbff93fccff813b8480debad32efca45f0f36018",
+}
+
+
+def _run_args(data_dir, out, *extra):
+    return ["run", "--features", str(data_dir / "features"), "--init-maps", str(data_dir / "init"),
+            "--gt", str(data_dir / "gt"), "--out", str(out), *extra]
+
+
+def _non_utf8_stem(data_dir) -> None:
+    """Rename img_000.* in every fixture folder to a stem holding the byte 0xff."""
+    stem = os.fsdecode(b"img_\xff")
+    for sub in ("features", "gt", "init"):
+        for path in (data_dir / sub).glob("img_000.*"):
+            path.rename(path.with_name(stem + path.suffix))
 
 
 class TestRun:
@@ -85,6 +109,23 @@ class TestRun:
         lines = scores_csv.read_text().splitlines()
         assert lines[0] == "iteration,image,row,col,score"
         assert len(lines) == 1 + 3 * 10 * 10
+
+    def test_text_outputs_pinned(self, fixture_dirs, tmp_path):
+        out, scores_csv = tmp_path / "out", tmp_path / "scores.csv"
+        assert main(_run_args(fixture_dirs, out, "--trace", "--dump-scores", str(scores_csv))) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (scores_csv, out / "trace" / "trace.jsonl")}
+        assert digests == PINNED_RUN_TEXT
+
+    def test_non_utf8_stem_dumped_as_its_bytes(self, fixture_dirs, tmp_path):
+        _non_utf8_stem(fixture_dirs)
+        scores_csv = tmp_path / "scores.csv"
+        code = main(_run_args(fixture_dirs, tmp_path / "out", "--dump-scores", str(scores_csv)))
+        assert code == 0
+        assert list(tmp_path.rglob("*.tmp")) == []
+        rows = scores_csv.read_bytes().splitlines()
+        assert len(rows) == 1 + 3 * 3 * 10 * 10
+        assert sum(row.split(b",")[1] == b"img_\xff" for row in rows) == 3 * 10 * 10
 
     def test_gt_proxy_mode(self, fixture_dirs, tmp_path):
         out = tmp_path / "out"
@@ -261,6 +302,19 @@ class TestEval:
         group_row = rows[-1]
         assert float(group_row[3]) > 0.9  # fmax on a separable fixture
 
+    def test_non_utf8_stem_written_as_its_bytes(self, fixture_dirs, tmp_path):
+        _non_utf8_stem(fixture_dirs)
+        out, csv_path = tmp_path / "out", tmp_path / "metrics.csv"
+        assert main(_run_args(fixture_dirs, out)) == 0
+        code = main(["eval", "--pred", str(out), "--gt", str(fixture_dirs / "gt"),
+                     "--out", str(csv_path)])
+        assert code == 0
+        assert list(tmp_path.rglob("*.tmp")) == []
+        rows = csv_path.read_bytes().split(b"\r\n")
+        assert rows[-1] == b""
+        images = [row.split(b",")[1] for row in rows[1:-1]]
+        assert images == [b"img_001", b"img_002", b"img_\xff", b"__group__"]
+
     def test_eval_missing_gt_exits_2(self, fixture_dirs, tmp_path):
         out = tmp_path / "out"
         main([
@@ -272,6 +326,47 @@ class TestEval:
             "--out", str(tmp_path / "m.csv"),
         ])
         assert code == 2
+
+
+class TestFailedWrite:
+    """A text file whose write or rename fails: one error line, exit 2, no file left."""
+
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    @pytest.mark.parametrize("target", ["scores.csv", "trace.jsonl", "metrics.csv"])
+    def test_leaves_nothing_behind(self, fixture_dirs, tmp_path, monkeypatch, capsys,
+                                   target, failure):
+        out, scores_csv = tmp_path / "out", tmp_path / "scores.csv"
+        argv = _run_args(fixture_dirs, out, "--trace", "--dump-scores", str(scores_csv))
+        target_path = {"scores.csv": scores_csv, "trace.jsonl": out / "trace" / "trace.jsonl",
+                       "metrics.csv": tmp_path / "metrics.csv"}[target]
+        if target == "metrics.csv":
+            assert main(argv) == 0
+            argv = ["eval", "--pred", str(out), "--gt", str(fixture_dirs / "gt"),
+                    "--out", str(target_path)]
+        capsys.readouterr()
+        mkstemp, replace = storage.tempfile.mkstemp, storage.os.replace
+
+        def failing_mkstemp(dir, prefix, suffix):
+            fd, tmp = mkstemp(dir=dir, prefix=prefix, suffix=suffix)
+            if prefix == target:
+                os.close(fd)
+                fd = os.open(tmp, os.O_RDONLY)  # so writing to it fails
+            return fd, tmp
+
+        def failing_replace(src, dst):
+            if Path(dst).name == target:
+                raise OSError(28, "No space left on device", str(dst))
+            replace(src, dst)
+
+        if failure == "write":
+            monkeypatch.setattr(storage.tempfile, "mkstemp", failing_mkstemp)
+        else:
+            monkeypatch.setattr(storage.os, "replace", failing_replace)
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:argument:")
+        assert not target_path.exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestFixturesCommand:

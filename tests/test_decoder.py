@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from corp import (
     CorrelationMapStack,
     MapGroup,
     PipelineConfig,
+    bilinear_resize,
     decode_reference,
     get_decoder,
     list_decoders,
     register_decoder,
     run_pipeline,
 )
-from corp.decoder import decode_mean
+from corp.decoder import MAX_EPS, decode_mean
 from corp.errors import DecoderNotFoundError, RegistrationError
-from conftest import random_feature_group, random_map_group
+from conftest import map_stacks, random_feature_group, random_map_group
 
 
 def stack_of(values):
@@ -73,6 +75,19 @@ class TestDecodeReference:
         stack = stack_of(np.ones((1, 1, 2, 2)))
         out = decode_reference(stack, 6, 8)
         assert out.maps.shape == (1, 6, 8)
+
+    @settings(max_examples=300)
+    @given(map_stacks())
+    def test_decode_mean_matches_image_by_image(self, case):
+        mean_maps, out_h, out_w = case
+        expected = []
+        for fused in mean_maps:
+            fused = np.maximum(fused, 0.0)
+            peak = float(fused.max())
+            fused = fused / peak if peak > MAX_EPS else np.zeros_like(fused)
+            expected.append(np.clip(bilinear_resize(fused, out_h, out_w), 0.0, 1.0))
+        out = decode_mean(mean_maps, out_h, out_w).maps
+        assert out.tobytes() == np.stack(expected).astype(np.float32).tobytes()
 
 
 class TestRegistry:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from corp import ArgumentError, ShapeError, bilinear_resize, l2_normalize_channels, masked_gap, topk_desc
 from corp.oracles import oracle_topk
+from conftest import map_stacks
 
 
 class TestL2NormalizeChannels:
@@ -162,3 +163,17 @@ class TestBilinearResize:
     def test_bad_output_size(self):
         with pytest.raises(ArgumentError):
             bilinear_resize(np.ones((2, 2)), 0, 3)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError):
+            bilinear_resize(np.ones(4), 2, 2)
+
+    @settings(max_examples=300)
+    @given(map_stacks())
+    def test_stack_matches_map_by_map(self, case):
+        maps, out_h, out_w = case
+        out = bilinear_resize(maps, out_h, out_w)
+        one_by_one = np.stack([bilinear_resize(m, out_h, out_w) for m in maps])
+        assert out.dtype == maps.dtype
+        assert out.tobytes() == one_by_one.tobytes()
+        assert bilinear_resize(maps[None], out_h, out_w)[0].tobytes() == out.tobytes()
