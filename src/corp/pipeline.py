@@ -99,8 +99,8 @@ def compute_proxy(
     ones) average and is flagged degenerate.
     """
     validate_group(features, maps)
-    if eps <= 0:
-        raise ArgumentError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ArgumentError(f"eps must be positive and finite, got {eps}")
     raw, nrm = _masked_average(features, maps.maps)
     if nrm >= eps:
         return Proxy(vec=raw / nrm, iteration=iteration, degenerate=False, source_norm=nrm)
@@ -178,7 +178,7 @@ def run_pipeline(
         corep = search_corepresentation(features, proxy, cfg.k, cfg.per_image_cap, scores=scores)
         if decoder is None:
             c_mean = corep.embeddings.astype(np.float64).mean(axis=0)
-            fused = _channel_dots(np.broadcast_to(c_mean[:, None], (n, d, 1)), flat)
+            fused = _channel_dots(c_mean, flat)
             maps_t = decode_mean((fused * scores.reshape(n, h * w)).reshape(n, h, w), h, w)
         else:
             maps_t = decoder(correlation_transform(features, proxy, corep, scores=scores), h, w)

@@ -26,10 +26,9 @@ def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
 
     Returns a flat float64 vector of length N*H*W in image-major, row-major
     order. For unit-norm inputs all values lie in [-1, 1] up to rounding.
-    Images are split over the CPUs the process may use; each takes one
-    float64 product with the proxy and one channel sum (``_channel_dots``),
-    so each value is exactly the scalar sequence acc += p[d] * f[d] in
-    float64, whatever the split.
+    Images are split over the CPUs the process may use; each range takes one
+    einsum with the proxy (``_channel_dots``), so each value is exactly the
+    scalar sequence acc += p[d] * f[d] in float64, whatever the split.
     """
     if proxy.dim != features.channels:
         raise ShapeError(
@@ -37,8 +36,7 @@ def score_all(features: FeatureGroup, proxy: Proxy) -> np.ndarray:
         )
     n, d, h, w = features.embeddings.shape
     flat = features.embeddings.reshape(n, d, h * w)
-    p = np.broadcast_to(proxy.vec[:, None], (n, d, 1))
-    return _channel_dots(p, flat).reshape(-1)
+    return _channel_dots(proxy.vec, flat).reshape(-1)
 
 
 def search_corepresentation(

@@ -8,8 +8,9 @@ Per-image passes (scoring, the feature norm check, the proxy's masked sums,
 the reference decoder's mean-embedding map) split a group into contiguous
 image ranges, one per CPU the process may run on (``_worker_count``,
 ``_by_image``). Each image goes through the same numpy calls whatever the
-split; ``_channel_dots`` is the per-pixel channel sum those passes share.
-None of them calls BLAS.
+split. ``_channel_dots`` is the per-pixel channel sum those passes share: one
+einsum per image range, channels summed left to right, a 1-pixel grid padded
+to two columns. None of them calls BLAS.
 """
 from __future__ import annotations
 
@@ -72,29 +73,29 @@ def _by_image(n: int, workers: int, part) -> None:
 
 
 def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over channels of a[i] * b[i] at every pixel, image by image over ``_worker_count``.
+    """Sum over channels of a * b at every pixel: one einsum per ``_by_image`` range.
 
-    ``b`` is (N, D, H*W) and ``a`` is the same or (N, D, 1). Returns (N, H*W)
-    float64. Each range multiplies one image in float64 into its row of
-    (workers, D, H*W) scratch, then adds the D rows left to right onto +0.0
-    (given as ``initial``, not left to numpy). Every value thus has the bits
-    of the scalar loop ``acc = 0.0; acc += a[d] * b[d]``, signed zeros
-    included, whatever the split. numpy adds a lone column pairwise instead
-    (other bits from D = 9 on), so the scratch keeps at least two columns;
-    the padding column stays zero. Parts call numpy only.
+    ``b`` is (N, D, H*W) and ``a`` is either the same shape or one (D,)
+    vector shared by every image. Returns (N, H*W) float64. einsum (default
+    ``optimize=False``, so no BLAS) walks the pixel axis innermost: each value
+    starts at +0.0 and adds the float64 products of channels 0..D-1 left to
+    right, a separate multiply and add each, which is the scalar loop
+    ``acc = 0.0; acc += a[d] * b[d]``, signed zeros included, whatever the
+    split. On a lone pixel einsum would sum the channels as an unrolled dot
+    instead (other bits from D = 9 on), so a 1-pixel grid is padded to two
+    columns and the padding sliced off.
     """
-    n, d, hw = b.shape
-    workers = _worker_count()
-    scratch = np.zeros((min(workers, n), d, max(hw, 2)), dtype=np.float64)
-    out = np.empty((n, scratch.shape[2]), dtype=np.float64)
+    n, _, hw = b.shape
+    if hw == 1:
+        b = np.repeat(b, 2, axis=2)
+        a = a if a.ndim == 1 else np.repeat(a, 2, axis=2)
+    spec = "d,ndp->np" if a.ndim == 1 else "ndp,ndp->np"
+    out = np.empty((n, b.shape[2]), dtype=np.float64)
 
-    def part(wk, lo, hi):
-        buf = scratch[wk]
-        for i in range(lo, hi):
-            np.multiply(a[i], b[i], out=buf[:, :hw], dtype=np.float64)
-            np.add.reduce(buf, axis=0, out=out[i], initial=0.0)
+    def part(_, lo, hi):
+        np.einsum(spec, a if a.ndim == 1 else a[lo:hi], b[lo:hi], out=out[lo:hi], dtype=np.float64)
 
-    _by_image(n, workers, part)
+    _by_image(n, _worker_count(), part)
     return out[:, :hw]
 
 
@@ -107,8 +108,8 @@ def l2_normalize_channels(t: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray
     t = np.asarray(t)
     if t.ndim != 3:
         raise ShapeError(f"expected a D x H x W tensor, got shape {t.shape}")
-    if eps <= 0:
-        raise ArgumentError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ArgumentError(f"eps must be positive and finite, got {eps}")
     t64 = t.astype(np.float64, copy=False)
     norms = np.sqrt((t64 * t64).sum(axis=0))
     safe = np.where(norms >= eps, norms, 1.0)
@@ -175,8 +176,8 @@ def bilinear_resize(m: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim < 2:
         raise ShapeError(f"expected a (..., H, W) array, got shape {m.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ArgumentError(f"output sizes must be >= 1, got {out_h} x {out_w}")
+    if not (_is_int(out_h) and _is_int(out_w)) or out_h < 1 or out_w < 1:
+        raise ArgumentError(f"output sizes must be integers >= 1, got {out_h!r} x {out_w!r}")
     h, w = m.shape[-2:]
     m64 = m.astype(np.float64, copy=False)
     ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)

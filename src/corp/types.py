@@ -277,12 +277,12 @@ class PipelineConfig:
             raise ArgumentError(f"k must be >= 1, got {self.k}")
         if self.iters < 0:
             raise ArgumentError(f"iters must be >= 0, got {self.iters}")
-        if self.eps <= 0:
-            raise ArgumentError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ArgumentError(f"eps must be positive and finite, got {self.eps}")
         if self.proxy_mode not in PROXY_MODES:
             raise ArgumentError(f"proxy_mode must be one of {PROXY_MODES}, got {self.proxy_mode!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ArgumentError("alpha and beta must be non-negative")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ArgumentError(f"alpha and beta must be finite and >= 0, got {self.alpha}, {self.beta}")
         if self.per_image_cap is not None and self.per_image_cap < 1:
             raise ArgumentError(f"per_image_cap must be >= 1 when set, got {self.per_image_cap}")
 

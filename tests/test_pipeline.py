@@ -47,6 +47,16 @@ THREAD_COUNT_SNIPPET = (
     "    print(n, h.hexdigest())\n"
 )
 
+# THREAD_COUNT_SNIPPET's output, recorded from the channel sum that wrote every
+# float64 product into scratch and added the rows with one add.reduce: any
+# faster channel sum must keep these bits.
+THREAD_COUNT_DIGESTS = (
+    "20 fc4fb3320096015f3aba59e2fccf5df9d13964ceff2e79299fcd582a93429b65\n"
+    "1 b5b92082121a260f1e8a6746d74d14a175419f31cb6f1b19b85e5582b465e061\n"
+    "3 f3d9cf66bb86eae5a1597d82da2a494f85a40881b27347bbbd830d8d38f82175\n"
+    "4 563d88cec204e71d50bda6ed6839fcf96a0bfcad6f174f9e4b3dadd278febaf7\n"
+)
+
 
 def single_pixel_group(embedding):
     return FeatureGroup(np.asarray(embedding, dtype=np.float32).reshape(1, -1, 1, 1))
@@ -100,6 +110,12 @@ class TestComputeProxy:
         fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
         with pytest.raises(ShapeError):
             compute_proxy(fg, MapGroup.all_ones(2, 4, 4))
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-12])
+    def test_eps_must_be_positive_and_finite(self, rng, eps):
+        fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
+        with pytest.raises(ArgumentError, match="positive and finite"):
+            compute_proxy(fg, MapGroup.all_ones(2, 3, 3), eps=eps)
 
 
 class TestProxyFromGroundTruth:
@@ -167,6 +183,7 @@ class TestRunPipeline:
             assert len(out.stdout.split()) == 8
             digests.add(out.stdout)
         assert len(digests) == 1
+        assert digests == {THREAD_COUNT_DIGESTS}
 
     def test_bit_identical_across_worker_counts(self, monkeypatch):
         import contextlib
@@ -181,12 +198,22 @@ class TestRunPipeline:
             assert len(out.getvalue().split()) == 8
             outputs.add(out.getvalue())
         assert len(outputs) == 1
+        assert outputs == {THREAD_COUNT_DIGESTS}
 
     def test_default_decode_calls_no_blas(self, rng, monkeypatch):
-        def no_matmul(*args, **kwargs):
-            raise AssertionError("np.matmul called")
+        import importlib
 
-        monkeypatch.setattr(np, "matmul", no_matmul)
+        def no_blas(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"np.{name} called")
+            return call
+
+        # einsum(optimize=True) reaches BLAS through names bound in its own module.
+        einsumfunc = importlib.import_module("numpy._core.einsumfunc")
+        for module in (np, einsumfunc):
+            for name in ("matmul", "dot", "tensordot"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_blas(name))
         fg = random_feature_group(rng, n=3, d=16, h=6, w=6)
         init = random_map_group(rng, n=3, h=6, w=6)
         assert len(run_pipeline(fg, init, PipelineConfig(k=8, iters=2))) == 2

@@ -5,7 +5,88 @@ from hypothesis import strategies as st
 
 from corp import ArgumentError, ShapeError, bilinear_resize, l2_normalize_channels, masked_gap, topk_desc
 from corp.oracles import oracle_topk
-from conftest import map_stacks
+from corp.tensor import _channel_dots
+from conftest import map_stacks, patch_worker_count
+
+
+def reference_channel_dots(a, b):
+    """The channel sum before einsum: float64 products into scratch, then one add.reduce.
+
+    The scratch keeps at least two columns (numpy sums a lone column
+    pairwise), and the D rows are added left to right onto +0.0.
+    """
+    n, d, hw = b.shape
+    if a.ndim == 1:
+        a = np.broadcast_to(a[:, None], (n, d, 1))
+    scratch = np.zeros((d, max(hw, 2)), dtype=np.float64)
+    out = np.empty((n, max(hw, 2)), dtype=np.float64)
+    for i in range(n):
+        np.multiply(a[i], b[i], out=scratch[:, :hw], dtype=np.float64)
+        np.add.reduce(scratch, axis=0, out=out[i], initial=0.0)
+    return out[:, :hw]
+
+
+@st.composite
+def channel_dot_cases(draw):
+    """``(a, b, workers)`` for ``_channel_dots``: b is (N, D, H*W) float32 or float64.
+
+    ``a`` is a float64 (D,) vector, ``b`` itself (the norm check) or another
+    array of b's shape. Up to every entry of either operand is -0.0.
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 600))
+    hw = draw(st.one_of(st.sampled_from([1, 784]), st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(["vector", "self", "other"]))
+    b = rng.standard_normal((n, d, hw)).astype(dtype)
+    a = rng.standard_normal(d) if form == "vector" else rng.standard_normal(b.shape).astype(dtype)
+    for x in (a, b):
+        x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    return (b if form == "self" else a), b, draw(st.integers(1, 4))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestChannelDots:
+    @settings(max_examples=300)
+    @given(channel_dot_cases())
+    def test_matches_reference_kernel_bitwise(self, case):
+        a, b, workers = case
+        with pytest.MonkeyPatch.context() as mp:
+            patch_worker_count(mp, workers)
+            got = _channel_dots(a, b)
+        assert_same_bits(got, reference_channel_dots(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [1, 3, 40])
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_more_channels_than_a_buffer(self, rng, dtype, hw, vector):
+        # D > 8192, einsum's default buffer size: still one left-to-right sum.
+        b = rng.standard_normal((3, 9000, hw)).astype(dtype)
+        a = rng.standard_normal(9000) if vector else b
+        with pytest.MonkeyPatch.context() as mp:
+            patch_worker_count(mp, 2)
+            got = _channel_dots(a, b)
+        assert_same_bits(got, reference_channel_dots(a, b))
+
+    @pytest.mark.parametrize(
+        "spec, a",
+        [("d,dp->p", [-1.0, 1 + 2**-30]), ("dp,dp->p", [[-1.0, -1.0], [1 + 2**-30, 1 + 2**-30]])],
+    )
+    def test_einsum_does_not_fuse_multiply_add(self, spec, a):
+        # (1 + 2**-30) * (1 - 2**-30) rounds to 1.0, so -1 + it is exactly 0.0;
+        # a fused multiply-add keeps the product exact and gives -2**-60.
+        a, b = np.array(a), np.array([[1.0, 1.0], [1 - 2**-30, 1 - 2**-30]])
+        got = np.einsum(spec, a, b, dtype=np.float64).tolist()
+        kernel = _channel_dots(a if a.ndim == 1 else a[None], b[None])[0].tolist()
+        assert got == kernel == [0.0, 0.0], (
+            f"einsum gave {got}, _channel_dots {kernel}: this numpy build fuses multiply and "
+            "add, which breaks the bit-identity contract (traces equal to the scalar loop "
+            "acc += a[d] * b[d] across builds, runs and thread counts)"
+        )
 
 
 class TestL2NormalizeChannels:
@@ -42,6 +123,12 @@ class TestL2NormalizeChannels:
     def test_bad_rank(self):
         with pytest.raises(ShapeError):
             l2_normalize_channels(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps(self, eps):
+        # eps=nan used to zero every column.
+        with pytest.raises(ArgumentError, match="finite"):
+            l2_normalize_channels(np.ones((2, 1, 1)), eps=eps)
 
 
 class TestTopkDesc:
@@ -163,6 +250,16 @@ class TestBilinearResize:
     def test_bad_output_size(self):
         with pytest.raises(ArgumentError):
             bilinear_resize(np.ones((2, 2)), 0, 3)
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, "2", None])
+    def test_sizes_must_be_integers(self, size):
+        # 2.5 used to give 3 rows and True 1 row.
+        m = np.ones((2, 2))
+        with pytest.raises(ArgumentError, match="integers"):
+            bilinear_resize(m, size, 2)
+        with pytest.raises(ArgumentError, match="integers"):
+            bilinear_resize(m, 2, size)
+        assert bilinear_resize(m, np.int64(3), 2).shape == (3, 2)
 
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ShapeError):

@@ -199,6 +199,22 @@ class TestPipelineConfig:
         with pytest.raises(ArgumentError, match="must be integers"):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"beta": float("nan")},
+            {"alpha": float("nan"), "beta": float("nan")},
+        ],
+    )
+    def test_parameters_must_be_finite(self, kwargs):
+        # eps=nan made every proxy take the degenerate all-ones fallback.
+        with pytest.raises(ArgumentError, match="finite"):
+            PipelineConfig(**kwargs)
+
     def test_numpy_integer_counts(self):
         cfg = PipelineConfig(k=np.int64(4), iters=np.int32(2), per_image_cap=np.int64(3))
         assert (cfg.k, cfg.iters, cfg.per_image_cap) == (4, 2, 3)
