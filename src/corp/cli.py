@@ -115,24 +115,21 @@ def _load_map_group(directory: str, stems: list[str]) -> MapGroup:
 
 
 def cmd_run(args) -> int:
-    if args.k < 1:
-        raise ArgumentError(f"--k must be >= 1, got {args.k}")
-    if args.iters < 0:
-        raise ArgumentError(f"--iters must be >= 0, got {args.iters}")
-    features, stems = _load_features(args.features)
-    if args.init_maps == "all-ones":
-        init_maps = MapGroup.all_ones(features.n_images, features.height, features.width)
-    else:
-        init_maps = _load_map_group(args.init_maps, stems)
-    gt = _load_map_group(args.gt, stems) if args.gt else None
-    if args.proxy_mode == "gt" and gt is None:
-        raise ArgumentError("--proxy-mode gt requires --gt")
+    # Settings are checked before any file is read.
     cfg = PipelineConfig(
         k=args.k,
         iters=args.iters,
         decoder=args.decoder,
         proxy_mode="from_ground_truth" if args.proxy_mode == "gt" else "from_maps",
     )
+    if args.proxy_mode == "gt" and not args.gt:
+        raise ArgumentError("--proxy-mode gt requires --gt")
+    features, stems = _load_features(args.features)
+    if args.init_maps == "all-ones":
+        init_maps = MapGroup.all_ones(features.n_images, features.height, features.width)
+    else:
+        init_maps = _load_map_group(args.init_maps, stems)
+    gt = _load_map_group(args.gt, stems) if args.gt else None
     trace = run_pipeline(
         features, init_maps, cfg, gt=gt, keep_scores=args.dump_scores is not None
     )

@@ -1,10 +1,11 @@
-"""Decoders turning correlation-map stacks into co-saliency maps.
+"""Decoders turning a purified co-representation into co-saliency maps.
 
-The built-in "reference" decoder is parameter-free: average the K channels,
-clamp negatives, normalize by the per-image maximum, resize. The pipeline
-computes that average straight from the mean selected embedding and calls
-``decode_mean`` on it. Alternative decoders can be registered by name and
-selected through PipelineConfig; they receive the whole stack.
+Every registered decoder takes ``(features, proxy, corep, scores)``, with
+``scores`` the iteration's ``score_all`` vector, and returns a MapGroup at
+the feature grid; the pipeline calls the one PipelineConfig names. The
+built-in "reference" decoder, ``decode_corep``, never builds the correlation
+stack. A decoder that needs it calls ``correlation_transform(features,
+proxy, corep, scores=scores)``, and can pass it to ``decode_reference``.
 """
 from __future__ import annotations
 
@@ -13,13 +14,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DecoderNotFoundError, RegistrationError
-from .tensor import bilinear_resize
-from .types import CorrelationMapStack, MapGroup
+from .tensor import _channel_dots, bilinear_resize
+from .types import CoRepresentation, CorrelationMapStack, FeatureGroup, MapGroup, Proxy
 
-__all__ = ["decode_mean", "decode_reference", "register_decoder", "get_decoder", "list_decoders",
-           "DecoderFn"]
+__all__ = ["decode_corep", "decode_mean", "decode_reference", "register_decoder", "get_decoder",
+           "list_decoders", "DecoderFn"]
 
-DecoderFn = Callable[[CorrelationMapStack, int, int], MapGroup]
+DecoderFn = Callable[[FeatureGroup, Proxy, CoRepresentation, np.ndarray], MapGroup]
 
 _REGISTRY: dict[str, DecoderFn] = {}
 
@@ -47,6 +48,19 @@ def decode_reference(stack: CorrelationMapStack, out_h: int, out_w: int) -> MapG
     return decode_mean(stack.maps.mean(axis=1), out_h, out_w)
 
 
+def decode_corep(features: FeatureGroup, proxy: Proxy, corep: CoRepresentation,
+                 scores: np.ndarray) -> MapGroup:
+    """``decode_reference`` of the correlation stack, from one channel sum.
+
+    The mean over K of map j = c_j . (s * f) is s * (c . f) with c the mean
+    selected embedding; ``proxy`` enters only through the scores ``s``.
+    """
+    n, d, h, w = features.embeddings.shape
+    c_mean = corep.embeddings.astype(np.float64).mean(axis=0)
+    fused = _channel_dots(c_mean, features.embeddings.reshape(n, d, h * w))
+    return decode_mean((fused * scores.reshape(n, h * w)).reshape(n, h, w), h, w)
+
+
 def register_decoder(name: str, fn: DecoderFn) -> None:
     """Make a decoder selectable by name; duplicate names are rejected."""
     if name in _REGISTRY:
@@ -67,4 +81,4 @@ def list_decoders() -> list[str]:
     return sorted(_REGISTRY)
 
 
-register_decoder("reference", decode_reference)
+register_decoder("reference", decode_corep)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
+from .pipeline import compute_proxy
+from .search import score_all
 from .tensor import _is_int
 from .types import FeatureGroup, MapGroup
 
@@ -261,8 +263,9 @@ def generate_fixture(spec: FixtureSpec) -> tuple[FeatureGroup, MapGroup, MapGrou
     Embeddings inside a planted rectangle point along the co-direction plus
     noise; outside pixels get a seeded distractor direction plus noise.
     After generation the separation guarantee is checked exhaustively: the
-    lowest in-region score against the ground-truth-masked proxy must beat
-    the highest out-region score, otherwise the fixture is rejected.
+    lowest in-region score against the ground-truth-masked proxy (the one
+    ``--proxy-mode gt`` computes) must beat the highest out-region score,
+    otherwise the fixture is rejected.
     """
     rng = SplitMix64(spec.seed)
     d = spec.channels
@@ -297,23 +300,17 @@ def generate_fixture(spec: FixtureSpec) -> tuple[FeatureGroup, MapGroup, MapGrou
     else:
         init = np.ones_like(gt)
 
-    _check_separation(feats, gt)
-    return FeatureGroup(feats), MapGroup(gt), MapGroup(init)
+    features, gt_maps = FeatureGroup(feats), MapGroup(gt)
+    _check_separation(features, gt_maps)
+    return features, gt_maps, MapGroup(init)
 
 
-def _check_separation(feats: np.ndarray, gt: np.ndarray) -> None:
-    n, d, h, w = feats.shape
-    f64 = feats.astype(np.float64)
-    raw = np.zeros(d)
-    for i in range(n):
-        raw += (f64[i] * gt[i][None, :, :].astype(np.float64)).reshape(d, -1).sum(axis=1) / (h * w)
-    raw /= n
-    nrm = float(np.linalg.norm(raw))
-    if nrm < 1e-12:
+def _check_separation(features: FeatureGroup, gt: MapGroup) -> None:
+    proxy = compute_proxy(features, gt)
+    if proxy.degenerate:
         raise ArgumentError("fixture rejected: ground-truth-masked proxy is zero")
-    proxy = raw / nrm
-    scores = np.einsum("c,nchw->nhw", proxy, f64)
-    inside = gt >= 0.5
+    scores = score_all(features, proxy)
+    inside = gt.maps.reshape(-1) >= 0.5
     min_in = float(scores[inside].min())
     max_out = float(scores[~inside].max()) if (~inside).any() else -np.inf
     if min_in <= max_out:

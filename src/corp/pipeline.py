@@ -1,7 +1,9 @@
 """Iterative refinement loop: proxy from maps, search, decode, repeat.
 
 The encoder features stay fixed; only the maps feeding the proxy change from
-iteration to iteration. Every iteration is recorded in a trace.
+iteration to iteration. Every iteration hands ``(features, proxy, corep,
+scores)`` to the decoder ``PipelineConfig.decoder`` names (``corp.decoder``)
+and is recorded in a trace.
 
 Per-image work (the proxy's masked sums, the scores, the reference decoder's
 mean-embedding map) is split by image over the CPUs the process may use
@@ -15,15 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import decode_mean, get_decoder
+from .decoder import get_decoder
 from .errors import ArgumentError, ShapeError
-from .search import (
-    correlation_transform,
-    purity_proportion,
-    score_all,
-    search_corepresentation,
-)
-from .tensor import _by_image, _channel_dots, _masked_gap, _worker_count, bilinear_resize
+from .search import purity_proportion, score_all, search_corepresentation
+from .tensor import _by_image, _masked_gap, _worker_count, bilinear_resize
 from .types import (
     CoRepresentation,
     FeatureGroup,
@@ -143,28 +140,23 @@ def run_pipeline(
     With ``cfg.proxy_mode == "from_ground_truth"`` the proxy is recomputed
     from ``gt`` every iteration instead of the previous prediction. When
     ``gt`` is supplied the per-iteration purity proportion is recorded.
-    Each iteration scores once; ``keep_scores`` keeps that vector per record.
-    The "reference" decoder's mean over K correlation maps is s * (c . f) at
-    every pixel, with c the mean selected embedding, so it is decoded from
-    that one channel sum; other decoders get the ``correlation_transform``
-    stack. ``cfg.iters == 0`` yields an empty trace and the caller keeps its
-    input maps.
+    Each iteration scores once; the decoder gets that vector, and
+    ``keep_scores`` keeps it per record. ``cfg.iters == 0`` yields an empty
+    trace and the caller keeps its input maps.
     """
-    decoder = None if cfg.decoder == "reference" else get_decoder(cfg.decoder)
-    n, d, h, w = features.embeddings.shape
-    flat = features.embeddings.reshape(n, d, h * w)
+    decoder = get_decoder(cfg.decoder)
     if init_maps.n_images != features.n_images:
         raise ShapeError(
             f"feature group has {features.n_images} images, initial maps have {init_maps.n_images}"
         )
-    prev = resize_map_group(init_maps, h, w)
+    prev = resize_map_group(init_maps, features.height, features.width)
     gt_feat = None
     if gt is not None:
         if gt.n_images != features.n_images:
             raise ShapeError(
                 f"feature group has {features.n_images} images, ground truth has {gt.n_images}"
             )
-        gt_feat = resize_map_group(gt, h, w)
+        gt_feat = resize_map_group(gt, features.height, features.width)
     if cfg.proxy_mode == "from_ground_truth" and gt_feat is None:
         raise ArgumentError('proxy_mode "from_ground_truth" requires ground-truth maps')
 
@@ -176,18 +168,12 @@ def run_pipeline(
         proxy = compute_proxy(features, source, eps=cfg.eps, iteration=t)
         scores = score_all(features, proxy)
         corep = search_corepresentation(features, proxy, cfg.k, cfg.per_image_cap, scores=scores)
-        if decoder is None:
-            c_mean = corep.embeddings.astype(np.float64).mean(axis=0)
-            fused = _channel_dots(c_mean, flat)
-            maps_t = decode_mean((fused * scores.reshape(n, h * w)).reshape(n, h, w), h, w)
-        else:
-            maps_t = decoder(correlation_transform(features, proxy, corep, scores=scores), h, w)
+        prev = decoder(features, proxy, corep, scores)
         purity = purity_proportion(corep, gt_feat) if gt_feat is not None else None
         records.append(
             IterationRecord(
-                iteration=t, proxy=proxy, corep=corep, maps=maps_t, purity=purity,
+                iteration=t, proxy=proxy, corep=corep, maps=prev, purity=purity,
                 scores=scores if keep_scores else None,
             )
         )
-        prev = maps_t
     return IterationTrace(tuple(records))

@@ -150,8 +150,8 @@ class Proxy:
         v = _frozen(self.vec, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] < 1:
             raise ShapeError(f"proxy must be a non-empty vector, got shape {v.shape}")
-        if self.iteration < 0:
-            raise ArgumentError(f"iteration must be >= 0, got {self.iteration}")
+        if not _is_int(self.iteration) or self.iteration < 0:
+            raise ArgumentError(f"iteration must be an integer >= 0, got {self.iteration!r}")
         if not self.degenerate:
             nrm = float(np.sqrt((v * v).sum()))
             if abs(nrm - 1.0) > PROXY_NORM_TOL:
@@ -188,12 +188,16 @@ class CoRepresentation:
             raise ShapeError(f"scores must have shape ({k},), got {scores.shape}")
         if not np.all(np.isfinite(scores)) or not np.all(np.isfinite(emb)):
             raise RangeViolationError("co-representation contains non-finite values")
+        # Checked after the cast: no two distinct inputs may become one coordinate.
+        coords = _frozen(coords, dtype=np.int64) if coords.dtype.kind in "iu" else None
+        if coords is None or coords.min() < 0:
+            raise ArgumentError("coords must be integers >= 0")
         if len({tuple(c) for c in coords.tolist()}) != k:
             raise ArgumentError("coords must be distinct")
         if np.any(np.diff(scores) > 0):
             raise ArgumentError("scores must be sorted in non-increasing order")
         object.__setattr__(self, "embeddings", _frozen(emb))
-        object.__setattr__(self, "coords", _frozen(coords, dtype=np.int64))
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "scores", _frozen(scores))
 
     @property

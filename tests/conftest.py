@@ -44,15 +44,22 @@ def patch_worker_count(monkeypatch, count: int) -> None:
             monkeypatch.setattr(module, "_worker_count", lambda: count)
 
 
+def _decode_stack(features, proxy, corep, scores) -> MapGroup:
+    # Looked up on the package at call time, so tests that wrap corp's public
+    # functions see this call too.
+    stack = corp.correlation_transform(features, proxy, corep, scores=scores)
+    return decode_reference(stack, features.height, features.width)
+
+
 def stack_decoder() -> str:
     """Name of a registered decoder that runs ``decode_reference`` on the full stack.
 
-    The pipeline picks its decoder by name, so under this name it builds the
-    (N, K, H, W) ``correlation_transform`` stack that "reference" skips.
+    It builds the (N, K, H, W) ``correlation_transform`` stack that
+    "reference" skips.
     """
     name = "reference-on-stack"
     if name not in list_decoders():
-        register_decoder(name, decode_reference)
+        register_decoder(name, _decode_stack)
     return name
 
 

@@ -150,6 +150,23 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:argument:")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "k must be >= 1"),
+        (["--iters", "-1"], "iters must be >= 0"),
+        (["--proxy-mode", "gt"], "--proxy-mode gt requires --gt"),
+    ])
+    def test_settings_checked_before_any_file(self, tmp_path, capsys, flags, message):
+        code = main([
+            "run",
+            "--features", str(tmp_path / "missing"),
+            "--init-maps", str(tmp_path / "missing"),
+            "--out", str(tmp_path / "out"),
+            *flags,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:argument:") and message in err
+
     def test_gt_mode_without_gt_exits_2(self, fixture_dirs, tmp_path):
         code = main([
             "run",

@@ -7,13 +7,14 @@ from corp import (
     MapGroup,
     PipelineConfig,
     bilinear_resize,
+    correlation_transform,
     decode_reference,
     get_decoder,
     list_decoders,
     register_decoder,
     run_pipeline,
 )
-from corp.decoder import MAX_EPS, decode_mean
+from corp.decoder import MAX_EPS, decode_corep, decode_mean
 from corp.errors import DecoderNotFoundError, RegistrationError
 from conftest import map_stacks, random_feature_group, random_map_group
 
@@ -93,7 +94,7 @@ class TestDecodeReference:
 class TestRegistry:
     def test_reference_registered(self):
         assert "reference" in list_decoders()
-        assert get_decoder("reference") is decode_reference
+        assert get_decoder("reference") is decode_corep
 
     def test_duplicate_rejected(self):
         with pytest.raises(RegistrationError):
@@ -106,7 +107,8 @@ class TestRegistry:
     def test_custom_decoder_selectable(self, rng):
         name = "identity-mean-test"
         if name not in list_decoders():
-            def identity_mean(stack, out_h, out_w):
+            def identity_mean(features, proxy, corep, scores):
+                stack = correlation_transform(features, proxy, corep, scores=scores)
                 fused = np.clip(stack.maps.mean(axis=1), 0.0, 1.0).astype(np.float32)
                 return MapGroup(fused)
             register_decoder(name, identity_mean)

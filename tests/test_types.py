@@ -112,6 +112,11 @@ class TestProxy:
         p = Proxy(np.zeros(3), degenerate=True)
         assert p.degenerate
 
+    @pytest.mark.parametrize("iteration", [True, 2.5, -1])
+    def test_non_count_iteration_rejected(self, iteration):
+        with pytest.raises(ArgumentError):
+            Proxy(np.array([0.6, 0.8]), iteration=iteration)
+
 
 class TestCoRepresentation:
     def _coords(self, k):
@@ -128,6 +133,17 @@ class TestCoRepresentation:
     def test_duplicate_coords_rejected(self):
         coords = np.array([(0, 0, 0), (0, 0, 0)])
         with pytest.raises(ArgumentError):
+            CoRepresentation(np.eye(2), coords, np.array([0.9, 0.5]))
+
+    def test_negative_coords_rejected(self):
+        # A negative image index would read the last image of a ground truth.
+        with pytest.raises(ArgumentError, match="integers >= 0"):
+            CoRepresentation(np.eye(1), np.array([[-1, 0, 0]]), np.array([0.9]))
+
+    def test_fractional_coords_rejected(self):
+        # (0.5, 0, 0) would truncate onto (0, 0, 0) and duplicate it.
+        coords = np.array([(0.5, 0, 0), (0, 0, 0)])
+        with pytest.raises(ArgumentError, match="integers >= 0"):
             CoRepresentation(np.eye(2), coords, np.array([0.9, 0.5]))
 
 
