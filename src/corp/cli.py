@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decoder import get_decoder
 from .errors import ArgumentError, CorpError, RangeViolationError, ShapeError
 from .fixtures import FixtureSpec, generate_fixture, random_fixture_spec
 from .losses import iou_grad_check
@@ -122,6 +123,7 @@ def cmd_run(args) -> int:
         decoder=args.decoder,
         proxy_mode="from_ground_truth" if args.proxy_mode == "gt" else "from_maps",
     )
+    get_decoder(cfg.decoder)
     if args.proxy_mode == "gt" and not args.gt:
         raise ArgumentError("--proxy-mode gt requires --gt")
     features, stems = _load_features(args.features)

@@ -2,10 +2,11 @@
 
 Every registered decoder takes ``(features, proxy, corep, scores)``, with
 ``scores`` the iteration's ``score_all`` vector, and returns a MapGroup at
-the feature grid; the pipeline calls the one PipelineConfig names. The
-built-in "reference" decoder, ``decode_corep``, never builds the correlation
-stack. A decoder that needs it calls ``correlation_transform(features,
-proxy, corep, scores=scores)``, and can pass it to ``decode_reference``.
+the feature grid, never resized; the pipeline calls the one PipelineConfig
+names, and resizes only its input maps, on entry. The built-in "reference"
+decoder, ``decode_corep``, never builds the correlation stack. A decoder
+that needs it calls ``correlation_transform(features, proxy, corep,
+scores=scores)``, and can pass it to ``decode_reference``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DecoderNotFoundError, RegistrationError
-from .tensor import _channel_dots, bilinear_resize
+from .tensor import _channel_dots
 from .types import CoRepresentation, CorrelationMapStack, FeatureGroup, MapGroup, Proxy
 
 __all__ = ["decode_corep", "decode_mean", "decode_reference", "register_decoder", "get_decoder",
@@ -27,25 +28,26 @@ _REGISTRY: dict[str, DecoderFn] = {}
 MAX_EPS = 1e-12
 
 
-def decode_mean(mean_maps: np.ndarray, out_h: int, out_w: int) -> MapGroup:
+def decode_mean(mean_maps: np.ndarray) -> MapGroup:
     """Decode (N, H, W) float64 mean correlation maps into [0, 1] maps.
 
-    Per image: clamp negatives to 0, divide by the per-image maximum when it
-    exceeds a tiny epsilon (otherwise the image decodes to all zeros), then
-    bilinear-resize to (out_h, out_w).
+    Per image: clamp negatives (and -0.0) to +0.0, then divide by the
+    per-image maximum when it exceeds a tiny epsilon, else decode to zeros.
+    Every x <= peak gives x / peak <= 1, so no clip; the grid is kept.
     """
     fused = np.maximum(mean_maps, 0.0)
     peak = fused.max(axis=(1, 2), keepdims=True)
     fused = np.divide(fused, peak, out=np.zeros_like(fused), where=peak > MAX_EPS)
-    return MapGroup(np.clip(bilinear_resize(fused, out_h, out_w), 0.0, 1.0).astype(np.float32))
+    return MapGroup(fused.astype(np.float32))
 
 
-def decode_reference(stack: CorrelationMapStack, out_h: int, out_w: int) -> MapGroup:
+def decode_reference(stack: CorrelationMapStack) -> MapGroup:
     """Parameter-free decode of a correlation stack into [0, 1] maps.
 
-    The mean over the K channels of each image, decoded by ``decode_mean``.
+    The mean over the K channels of each image, decoded by ``decode_mean``,
+    on the stack's grid.
     """
-    return decode_mean(stack.maps.mean(axis=1), out_h, out_w)
+    return decode_mean(stack.maps.mean(axis=1))
 
 
 def decode_corep(features: FeatureGroup, proxy: Proxy, corep: CoRepresentation,
@@ -58,7 +60,7 @@ def decode_corep(features: FeatureGroup, proxy: Proxy, corep: CoRepresentation,
     n, d, h, w = features.embeddings.shape
     c_mean = corep.embeddings.astype(np.float64).mean(axis=0)
     fused = _channel_dots(c_mean, features.embeddings.reshape(n, d, h * w))
-    return decode_mean((fused * scores.reshape(n, h * w)).reshape(n, h, w), h, w)
+    return decode_mean((fused * scores.reshape(n, h * w)).reshape(n, h, w))
 
 
 def register_decoder(name: str, fn: DecoderFn) -> None:

@@ -38,6 +38,10 @@ __all__ = [
     "run_pipeline",
 ]
 
+# A masked average with a smaller norm is empty (no foreground, or features
+# that cancel): normalized, its rounding noise would pose as a direction.
+PROXY_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -80,30 +84,23 @@ def resize_map_group(maps: MapGroup, height: int, width: int) -> MapGroup:
     return MapGroup(np.clip(bilinear_resize(maps.maps, height, width), 0.0, 1.0))
 
 
-def compute_proxy(
-    features: FeatureGroup,
-    maps: MapGroup,
-    eps: float = 1e-12,
-    iteration: int = 0,
-) -> Proxy:
+def compute_proxy(features: FeatureGroup, maps: MapGroup, iteration: int = 0) -> Proxy:
     """Masked average of the group features, Euclidean-normalized.
 
     Per image the mask-weighted average embedding is taken over the full
     grid, split by image across threads; per-channel sums over images use
     exact (correctly rounded) summation on the calling thread, so the result
     is independent of image order and of the split. If the masked
-    average has norm below ``eps`` the proxy falls back to an unmasked (all
-    ones) average and is flagged degenerate.
+    average has norm below ``PROXY_EPS`` the proxy falls back to an unmasked
+    (all ones) average and is flagged degenerate.
     """
     validate_group(features, maps)
-    if not 0 < eps < math.inf:
-        raise ArgumentError(f"eps must be positive and finite, got {eps}")
     raw, nrm = _masked_average(features, maps.maps)
-    if nrm >= eps:
+    if nrm >= PROXY_EPS:
         return Proxy(vec=raw / nrm, iteration=iteration, degenerate=False, source_norm=nrm)
     ones = np.ones((features.n_images, features.height, features.width), dtype=np.float64)
     raw2, nrm2 = _masked_average(features, ones)
-    if nrm2 >= eps:
+    if nrm2 >= PROXY_EPS:
         vec = raw2 / nrm2
     else:
         vec = np.zeros(features.channels, dtype=np.float64)
@@ -165,9 +162,9 @@ def run_pipeline(
         source = gt_feat if cfg.proxy_mode == "from_ground_truth" else prev
         if cfg.binarize_maps:
             source = source.binarized()
-        proxy = compute_proxy(features, source, eps=cfg.eps, iteration=t)
+        proxy = compute_proxy(features, source, iteration=t)
         scores = score_all(features, proxy)
-        corep = search_corepresentation(features, proxy, cfg.k, cfg.per_image_cap, scores=scores)
+        corep = search_corepresentation(features, proxy, cfg.k, scores=scores)
         prev = decoder(features, proxy, corep, scores)
         purity = purity_proportion(corep, gt_feat) if gt_feat is not None else None
         records.append(

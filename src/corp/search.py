@@ -1,16 +1,17 @@
 """Co-representation search: score all embeddings, select top-k, transform.
 
 One round of searching scores every pixel embedding against the proxy once,
-keeps the k best-correlated locations and gathers their embeddings. The
-correlation transform turns each image into k correlation maps for decoders
-that consume the stack; selection and transform share the scores.
+keeps the k best-correlated locations of the whole group (no image has a
+quota) and gathers their embeddings. The correlation transform turns each
+image into k correlation maps for decoders that consume the stack;
+selection and transform share the scores.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .tensor import _channel_dots, _is_int, topk_desc
+from .tensor import _channel_dots, topk_desc
 from .types import CoRepresentation, CorrelationMapStack, FeatureGroup, MapGroup, Proxy
 
 __all__ = [
@@ -43,39 +44,18 @@ def search_corepresentation(
     features: FeatureGroup,
     proxy: Proxy,
     k: int,
-    per_image_cap: int | None = None,
     scores: np.ndarray | None = None,
 ) -> CoRepresentation:
     """Select the k locations best correlated with the proxy and gather them.
 
-    ``per_image_cap`` optionally limits how many locations one image may
-    contribute; by default there is no quota and the selection is a global
-    top-k over all N*H*W locations. With a cap the result is what walking
-    all scores best first and skipping images that reached their cap would
-    give: each image's top ``per_image_cap``, then the top k of those
-    candidates, ties going to the smaller flat index in both steps.
-    ``scores`` is ``score_all(features, proxy)`` when the caller already
-    has it.
+    The selection is a global top-k over all N*H*W locations, with no
+    per-image quota; ties go to the smaller flat index. ``scores`` is
+    ``score_all(features, proxy)`` when the caller already has it.
     """
     n, _, h, w = features.embeddings.shape
-    if not _is_int(k) or not 1 <= k <= n * h * w:
-        raise ArgumentError(f"k must be an integer in [1, {n * h * w}], got {k!r}")
-    if per_image_cap is not None:
-        if not _is_int(per_image_cap) or per_image_cap < 1:
-            raise ArgumentError(f"per_image_cap must be an integer >= 1, got {per_image_cap!r}")
-        if per_image_cap * n < k:
-            raise ArgumentError(
-                f"per_image_cap={per_image_cap} over {n} images cannot supply k={k}"
-            )
     if scores is None:
         scores = score_all(features, proxy)
-    if per_image_cap is None:
-        idx = topk_desc(scores, k)
-    else:
-        cap = min(per_image_cap, h * w)
-        per_image = [topk_desc(row, cap) + i * h * w for i, row in enumerate(scores.reshape(n, -1))]
-        cand = np.sort(np.concatenate(per_image))
-        idx = cand[topk_desc(scores[cand], k)]
+    idx = topk_desc(scores, k)
     imgs = idx // (h * w)
     rows = (idx % (h * w)) // w
     cols = idx % w

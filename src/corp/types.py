@@ -262,33 +262,23 @@ class PipelineConfig:
 
     k: int = 32
     iters: int = 3
-    eps: float = 1e-12
     proxy_mode: str = "from_maps"
     decoder: str = "reference"
     alpha: float = 0.8
     beta: float = 0.2
     binarize_maps: bool = False
-    per_image_cap: int | None = None
 
     def __post_init__(self):
-        if not (_is_int(self.k) and _is_int(self.iters)
-                and (self.per_image_cap is None or _is_int(self.per_image_cap))):
-            raise ArgumentError(
-                f"k, iters and per_image_cap must be integers, got k={self.k!r}, "
-                f"iters={self.iters!r}, per_image_cap={self.per_image_cap!r}"
-            )
+        if not (_is_int(self.k) and _is_int(self.iters)):
+            raise ArgumentError(f"k and iters must be integers, got k={self.k!r}, iters={self.iters!r}")
         if self.k < 1:
             raise ArgumentError(f"k must be >= 1, got {self.k}")
         if self.iters < 0:
             raise ArgumentError(f"iters must be >= 0, got {self.iters}")
-        if not 0 < self.eps < math.inf:
-            raise ArgumentError(f"eps must be positive and finite, got {self.eps}")
         if self.proxy_mode not in PROXY_MODES:
             raise ArgumentError(f"proxy_mode must be one of {PROXY_MODES}, got {self.proxy_mode!r}")
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ArgumentError(f"alpha and beta must be finite and >= 0, got {self.alpha}, {self.beta}")
-        if self.per_image_cap is not None and self.per_image_cap < 1:
-            raise ArgumentError(f"per_image_cap must be >= 1 when set, got {self.per_image_cap}")
 
 
 def validate_group(features: FeatureGroup, maps) -> None:

@@ -48,7 +48,7 @@ def _decode_stack(features, proxy, corep, scores) -> MapGroup:
     # Looked up on the package at call time, so tests that wrap corp's public
     # functions see this call too.
     stack = corp.correlation_transform(features, proxy, corep, scores=scores)
-    return decode_reference(stack, features.height, features.width)
+    return decode_reference(stack)
 
 
 def stack_decoder() -> str:
@@ -76,7 +76,7 @@ def assert_reference_decode_pinned(features, init, cfg, trace) -> None:
         assert rec.maps.maps.tobytes() == other.maps.maps.tobytes()
         ref = oracle_correlation_transform(features, rec.proxy.vec, rec.corep.embeddings)
         ref = CorrelationMapStack(np.asarray(ref))
-        oracle_maps = decode_reference(ref, features.height, features.width)
+        oracle_maps = decode_reference(ref)
         assert rec.maps.maps.tobytes() == oracle_maps.maps.tobytes()
 
 

@@ -154,6 +154,7 @@ class TestRun:
         (["--k", "0"], "k must be >= 1"),
         (["--iters", "-1"], "iters must be >= 0"),
         (["--proxy-mode", "gt"], "--proxy-mode gt requires --gt"),
+        (["--decoder", "nonexistent"], "unknown decoder 'nonexistent'"),
     ])
     def test_settings_checked_before_any_file(self, tmp_path, capsys, flags, message):
         code = main([

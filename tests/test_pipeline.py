@@ -4,11 +4,13 @@ import pytest
 from corp import (
     ArgumentError,
     FeatureGroup,
+    FixtureSpec,
     MapGroup,
     PipelineConfig,
     ShapeError,
     compute_proxy,
     correlation_transform,
+    evaluate,
     generate_fixture,
     random_fixture_spec,
     resize_map_group,
@@ -110,12 +112,6 @@ class TestComputeProxy:
         fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
         with pytest.raises(ShapeError):
             compute_proxy(fg, MapGroup.all_ones(2, 4, 4))
-
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-12])
-    def test_eps_must_be_positive_and_finite(self, rng, eps):
-        fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
-        with pytest.raises(ArgumentError, match="positive and finite"):
-            compute_proxy(fg, MapGroup.all_ones(2, 3, 3), eps=eps)
 
 
 class TestProxyFromGroundTruth:
@@ -307,12 +303,49 @@ class TestRunPipeline:
         trace = run_pipeline(fg, init, PipelineConfig(k=4, iters=1), keep_scores=True)
         assert trace.records[0].scores.shape == (2 * 4 * 4,)
 
-    def test_binarize_maps_option(self, rng):
-        spec = random_fixture_spec(15)
-        fg, gt, init = generate_fixture(spec)
-        t_soft = run_pipeline(fg, init, PipelineConfig(k=8, iters=1))
-        t_bin = run_pipeline(fg, init, PipelineConfig(k=8, iters=1, binarize_maps=True))
-        assert t_soft.records[0].maps.maps.shape == t_bin.records[0].maps.maps.shape
+    def test_binarize_maps_option(self):
+        # Records the loop de-purifying on soft maps: one distractor lies at
+        # cosine 0.5 to the co-direction. Fed back soft, its weak positive
+        # correlation pulls the proxy away until no selected pixel is
+        # foreground; binarized maps keep every selection pure. Purity is a
+        # multiple of 1/K, so it compares exactly.
+        e = np.eye(16)
+        regions = ((0, 0, 4, 4), (8, 8, 4, 4), (2, 6, 4, 4), (6, 1, 4, 4), (4, 4, 4, 4), (1, 8, 4, 4))
+        distractors = (tuple(0.5 * e[0] + np.sqrt(0.75) * e[1]), tuple(e[2]), tuple(e[3]))
+        for seed, soft_purity, soft_fmax in ((0, [1.0, 0.25, 0.0, 0.0, 0.0, 0.0], 0.314253),
+                                             (6, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 0.315684)):
+            spec = FixtureSpec(seed=seed, n_images=6, channels=16, height=12, width=12,
+                               planted_regions=regions, co_direction=tuple(e[0]),
+                               distractor_directions=distractors, separation_margin=0.5,
+                               noise_sigma=0.05, init_mode="dilated")
+            fg, gt, init = generate_fixture(spec)
+            soft = run_pipeline(fg, init, PipelineConfig(k=32, iters=6), gt=gt)
+            hard = run_pipeline(fg, init, PipelineConfig(k=32, iters=6, binarize_maps=True), gt=gt)
+            assert [r.purity for r in soft.records] == soft_purity
+            assert [r.purity for r in hard.records] == [1.0] * 6
+            assert evaluate(soft.records[-1].maps, gt).f_max == pytest.approx(soft_fmax, abs=1e-5)
+            assert evaluate(hard.records[-1].maps, gt).f_max == 1.0
+
+    @pytest.mark.parametrize("scale, resizes", [(1, 0), (2, 1)])
+    def test_resizes_only_on_entry(self, rng, monkeypatch, scale, resizes):
+        import sys
+
+        from corp import tensor
+
+        calls = []
+        resize = tensor.bilinear_resize
+
+        def counting(*args):
+            calls.append(args[1:])
+            return resize(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "corp" and vars(module).get("bilinear_resize") is resize:
+                monkeypatch.setattr(module, "bilinear_resize", counting)
+        fg = random_feature_group(rng, n=3, d=8, h=5, w=6)
+        init = random_map_group(rng, n=3, h=5 * scale, w=6 * scale)
+        trace = run_pipeline(fg, init, PipelineConfig(k=6, iters=3))
+        assert len(trace) == 3 and calls == [(5, 6)] * resizes
 
 
 class TestTracerContract:

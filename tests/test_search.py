@@ -2,8 +2,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from corp import (
     ArgumentError,
@@ -25,21 +23,8 @@ from corp.oracles import (
     oracle_proxy,
     oracle_scores,
     oracle_search,
-    oracle_topk,
 )
 from conftest import assert_reference_decode_pinned, random_feature_group, random_map_group
-
-
-def greedy_capped_selection(scores, n_images, k, cap):
-    """The per-image quota as a loop: walk all scores best first, skip images at their cap."""
-    per_image = len(scores) // n_images
-    taken = [0] * n_images
-    picked = []
-    for i in oracle_topk(scores, len(scores)):
-        if len(picked) < k and taken[i // per_image] < cap:
-            taken[i // per_image] += 1
-            picked.append(i)
-    return picked
 
 
 def single_pixel_group(embedding):
@@ -138,40 +123,12 @@ class TestSearchCorepresentation:
         with pytest.raises(ArgumentError):
             search_corepresentation(fg, p, 5)
 
-    def test_per_image_cap(self, rng):
-        fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
-        vec = rng.standard_normal(4)
-        p = Proxy(vec / np.linalg.norm(vec))
-        corep = search_corepresentation(fg, p, 6, per_image_cap=3)
-        counts = np.bincount(corep.coords[:, 0], minlength=2)
-        assert counts.max() <= 3 and corep.k == 6
-
-    def test_per_image_cap_too_tight(self, rng):
-        fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
-        vec = rng.standard_normal(4)
-        p = Proxy(vec / np.linalg.norm(vec))
-        with pytest.raises(ArgumentError):
-            search_corepresentation(fg, p, 10, per_image_cap=4)
-
-    @pytest.mark.parametrize("k, cap", [(True, None), (2.0, None), (4, 2.5), (2, True), (4, "2")])
-    def test_counts_must_be_integers(self, rng, k, cap):
+    @pytest.mark.parametrize("k", [True, 2.0])
+    def test_counts_must_be_integers(self, rng, k):
         fg = random_feature_group(rng, n=2, d=4, h=3, w=3)
         p = Proxy(np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ArgumentError, match="integer"):
-            search_corepresentation(fg, p, k, per_image_cap=cap)
-
-    # Few distinct values force ties within and across images.
-    TIED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-2, 2))
-
-    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
-    def test_per_image_cap_equals_the_greedy_loop(self, n, h, w, data):
-        scores = np.asarray(data.draw(st.lists(self.TIED, min_size=n * h * w, max_size=n * h * w)))
-        cap = data.draw(st.integers(1, h * w + 2), label="cap")
-        k = data.draw(st.integers(1, n * min(cap, h * w)), label="k")
-        fg = FeatureGroup(np.zeros((n, 1, h, w), dtype=np.float32))
-        corep = search_corepresentation(fg, Proxy(np.ones(1)), k, per_image_cap=cap, scores=scores)
-        flat = [(i * h + y) * w + x for i, y, x in corep.coords.tolist()]
-        assert flat == greedy_capped_selection(scores, n, k, cap)
+            search_corepresentation(fg, p, k)
 
     def test_image_permutation_equivariance(self, rng):
         fg = random_feature_group(rng, n=3, d=6, h=4, w=4)
@@ -315,21 +272,20 @@ class TestUnusualGroupsAgainstOracles:
         assert_reference_decode_pinned(fg, init, cfg, trace)
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_capped_run_on_binarized_maps_matches_the_oracles(self, rng, case):
+    def test_binarized_run_matches_the_oracles(self, rng, case):
         fg, k = self.CASES[case](rng)
-        cap = -(-k // fg.n_images)  # the tightest cap that can supply k
         init = random_map_group(rng, n=fg.n_images, h=fg.height, w=fg.width)
-        cfg = PipelineConfig(k=k, iters=3, per_image_cap=cap, binarize_maps=True)
+        cfg = PipelineConfig(k=k, iters=3, binarize_maps=True)
         trace = run_pipeline(fg, init, cfg, keep_scores=True)
-        prev, hw, w = init, fg.height * fg.width, fg.width
+        prev = init
         for rec in trace.records:
             vec, degenerate = oracle_proxy(fg, prev.binarized())
             assert rec.proxy.degenerate == degenerate
             assert np.abs(rec.proxy.vec - np.asarray(vec)).max() <= 1e-6
             scores = oracle_scores(fg, rec.proxy.vec)
             assert rec.scores.tobytes() == np.asarray(scores, dtype=np.float64).tobytes()
-            picked = greedy_capped_selection(scores, fg.n_images, k, cap)
-            assert rec.corep.coords.tolist() == [[i // hw, i % hw // w, i % w] for i in picked]
+            coords, _, _ = oracle_search(fg, rec.proxy.vec.tolist(), k)
+            assert [tuple(c) for c in rec.corep.coords.tolist()] == coords
             prev = rec.maps
         assert_reference_decode_pinned(fg, init, cfg, trace)
 

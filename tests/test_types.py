@@ -187,10 +187,8 @@ class TestPipelineConfig:
         [
             {"k": 0},
             {"iters": -1},
-            {"eps": 0.0},
             {"proxy_mode": "nope"},
             {"alpha": -0.1},
-            {"per_image_cap": 0},
         ],
     )
     def test_invalid_values(self, kwargs):
@@ -205,8 +203,6 @@ class TestPipelineConfig:
             {"k": "3"},
             {"iters": 2.5},
             {"iters": False},
-            {"per_image_cap": 1.5},
-            {"per_image_cap": True},
         ],
     )
     def test_counts_must_be_integers(self, kwargs):
@@ -218,8 +214,6 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"eps": float("nan")},
-            {"eps": float("inf")},
             {"alpha": float("nan")},
             {"alpha": float("inf")},
             {"beta": float("nan")},
@@ -227,13 +221,12 @@ class TestPipelineConfig:
         ],
     )
     def test_parameters_must_be_finite(self, kwargs):
-        # eps=nan made every proxy take the degenerate all-ones fallback.
         with pytest.raises(ArgumentError, match="finite"):
             PipelineConfig(**kwargs)
 
     def test_numpy_integer_counts(self):
-        cfg = PipelineConfig(k=np.int64(4), iters=np.int32(2), per_image_cap=np.int64(3))
-        assert (cfg.k, cfg.iters, cfg.per_image_cap) == (4, 2, 3)
+        cfg = PipelineConfig(k=np.int64(4), iters=np.int32(2))
+        assert (cfg.k, cfg.iters) == (4, 2)
 
 
 class TestValidateGroup:
