@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,18 +53,21 @@ DEFAULT_BETA_SQ = 0.3
 DEFAULT_S_ALPHA = 0.5
 
 
-def _pair(pred: MapGroup, gt: MapGroup) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(pred: MapGroup, gt: MapGroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each image's (float64 prediction, boolean ground truth), one image at a time.
+
+    No float64 copy of the whole group is made: only one image's is alive at once.
+    """
     if pred.maps.shape != gt.maps.shape:
         raise ShapeError(
             f"prediction shape {pred.maps.shape} does not match ground truth {gt.maps.shape}"
         )
-    return pred.maps.astype(np.float64), gt.maps.astype(np.float64) >= 0.5
+    return ((p.astype(np.float64), g >= 0.5) for p, g in zip(pred.maps, gt.maps))
 
 
 def mae(pred: MapGroup, gt: MapGroup) -> float:
     """Mean absolute error over all pixels of all images."""
-    p, g = _pair(pred, gt)
-    per_image = [float(np.abs(p[n] - g[n].astype(np.float64)).mean()) for n in range(p.shape[0])]
+    per_image = [float(np.abs(p - g.astype(np.float64)).mean()) for p, g in _pairs(pred, gt)]
     return float(np.mean(per_image))
 
 
@@ -97,8 +101,7 @@ def f_measure_curve(pred: MapGroup, gt: MapGroup, beta_sq: float = DEFAULT_BETA_
     Images with zero-foreground ground truth contribute F = 0 at every
     threshold.
     """
-    p, g = _pair(pred, gt)
-    curves = [_f_curve(_threshold_counts(p[n], g[n]), beta_sq) for n in range(p.shape[0])]
+    curves = [_f_curve(_threshold_counts(p, g), beta_sq) for p, g in _pairs(pred, gt)]
     return np.stack(curves).mean(axis=0)
 
 
@@ -150,8 +153,7 @@ def _image_s(p: np.ndarray, g: np.ndarray, alpha: float) -> float:
 
 def s_measure(pred: MapGroup, gt: MapGroup, alpha: float = DEFAULT_S_ALPHA) -> float:
     """Structure similarity: object term + centroid-split region term."""
-    p, g = _pair(pred, gt)
-    return float(np.mean([_image_s(p[n], g[n], alpha) for n in range(p.shape[0])]))
+    return float(np.mean([_image_s(p, g, alpha) for p, g in _pairs(pred, gt)]))
 
 
 def _alignment(phi_g: float, phi_p: np.ndarray) -> np.ndarray:
@@ -185,8 +187,7 @@ def _e_mean(counts) -> float:
 
 def e_measure_mean(pred: MapGroup, gt: MapGroup) -> float:
     """Enhanced-alignment measure averaged over thresholds and images."""
-    p, g = _pair(pred, gt)
-    return float(np.mean([_e_mean(_threshold_counts(p[n], g[n])) for n in range(p.shape[0])]))
+    return float(np.mean([_e_mean(_threshold_counts(p, g)) for p, g in _pairs(pred, gt)]))
 
 
 @dataclass(frozen=True)
@@ -226,26 +227,25 @@ def evaluate(
     Group F values come from the per-threshold average of per-image curves;
     per-image rows carry each image's own curve extrema.
     """
-    p, g = _pair(pred, gt)
-    n = p.shape[0]
+    pairs = _pairs(pred, gt)
+    n = pred.n_images
     if image_ids is None:
         image_ids = [f"{i:03d}" for i in range(n)]
     if len(image_ids) != n:
         raise ShapeError(f"got {len(image_ids)} image ids for {n} images")
 
-    counts = [_threshold_counts(p[i], g[i]) for i in range(n)]
-    curves = [_f_curve(c, beta_sq) for c in counts]
-    rows = [
-        ImageMetrics(
-            image_id=image_ids[i],
-            mae=float(np.abs(p[i] - g[i].astype(np.float64)).mean()),
-            f_max=float(curves[i].max()),
-            f_avg=float(curves[i].mean()),
-            s_measure=_image_s(p[i], g[i], s_alpha),
-            e_mean=_e_mean(counts[i]),
-        )
-        for i in range(n)
-    ]
+    counts, curves, rows = [], [], []
+    for image_id, (p, g) in zip(image_ids, pairs):
+        counts.append(_threshold_counts(p, g))
+        curves.append(_f_curve(counts[-1], beta_sq))
+        rows.append(ImageMetrics(
+            image_id=image_id,
+            mae=float(np.abs(p - g.astype(np.float64)).mean()),
+            f_max=float(curves[-1].max()),
+            f_avg=float(curves[-1].mean()),
+            s_measure=_image_s(p, g, s_alpha),
+            e_mean=_e_mean(counts[-1]),
+        ))
     group_curve = np.stack(curves).mean(axis=0)
     return MetricReport(
         mae=float(np.mean([r.mae for r in rows])),

@@ -6,9 +6,9 @@ scores)`` to the decoder ``PipelineConfig.decoder`` names (``corp.decoder``)
 and is recorded in a trace.
 
 Per-image work (the proxy's masked sums, the scores, the reference decoder's
-mean-embedding map) is split by image over the CPUs the process may use
-(``corp.tensor._by_image``); sums over images and the top-k stay on the
-calling thread, so the bits never depend on the split.
+mean-embedding map) is split by image over the CPUs the process may use,
+inside ``corp.tensor``; sums over images and the top-k stay on the calling
+thread, so the bits never depend on the split.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .decoder import get_decoder
 from .errors import ArgumentError, ShapeError
 from .search import purity_proportion, score_all, search_corepresentation
-from .tensor import _by_image, _masked_gap, _worker_count, bilinear_resize
+from .tensor import bilinear_resize, masked_gap
 from .types import (
     CoRepresentation,
     FeatureGroup,
@@ -87,10 +87,10 @@ def resize_map_group(maps: MapGroup, height: int, width: int) -> MapGroup:
 def compute_proxy(features: FeatureGroup, maps: MapGroup, iteration: int = 0) -> Proxy:
     """Masked average of the group features, Euclidean-normalized.
 
-    Per image the mask-weighted average embedding is taken over the full
-    grid, split by image across threads; per-channel sums over images use
-    exact (correctly rounded) summation on the calling thread, so the result
-    is independent of image order and of the split. If the masked
+    Per image ``masked_gap`` takes the mask-weighted average embedding over
+    the full grid (split by image across threads); per-channel sums over
+    images use exact (correctly rounded) summation on the calling thread, so
+    the result is independent of image order and of the split. If the masked
     average has norm below ``PROXY_EPS`` the proxy falls back to an unmasked
     (all ones) average and is flagged degenerate.
     """
@@ -108,19 +108,8 @@ def compute_proxy(features: FeatureGroup, maps: MapGroup, iteration: int = 0) ->
 
 
 def _masked_average(features: FeatureGroup, masks: np.ndarray) -> tuple[np.ndarray, float]:
-    n, d, h, w = features.embeddings.shape
-    flat = features.embeddings.reshape(n, d, h * w)
-    masks64 = np.asarray(masks, dtype=np.float64).reshape(n, h * w)
-    gaps = np.empty((n, d), dtype=np.float64)
-    workers = _worker_count()
-    scratch = np.empty((min(workers, n), d, h * w), dtype=np.float64)
-
-    def part(wk, lo, hi):
-        for i in range(lo, hi):
-            gaps[i] = _masked_gap(flat[i], masks64[i], scratch[wk])
-
-    _by_image(n, workers, part)
-    raw = np.array([math.fsum(row) / n for row in gaps.T.tolist()], dtype=np.float64)
+    per_channel = masked_gap(features.embeddings, masks).T.tolist()
+    raw = np.array([math.fsum(row) / len(row) for row in per_channel], dtype=np.float64)
     return raw, float(np.sqrt((raw * raw).sum()))
 
 

@@ -6,14 +6,15 @@ so results are bit-reproducible across runs and thread counts.
 
 Per-image passes (scoring, the feature norm check, the proxy's masked sums,
 the reference decoder's mean-embedding map) split a group into contiguous
-image ranges, one per CPU the process may run on (``_worker_count``,
-``_by_image``). Each image goes through the same numpy calls whatever the
-split. ``_channel_dots`` is the per-pixel channel sum those passes share: one
-einsum per image range, channels summed left to right, a 1-pixel grid padded
-to two columns. None of them calls BLAS.
+image ranges, one per CPU the process may use (``_worker_count``,
+``_by_image``), one einsum per range, and no BLAS. Each image goes through
+the same numpy calls whatever the split. ``_channel_dots`` sums channels left
+to right, a 1-pixel grid padded to two columns; ``masked_gap`` sums pixels in
+numpy's reduction order over the contiguous pixel axis.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -138,31 +139,32 @@ def topk_desc(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def masked_gap(feat: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mask-weighted average of a D x H x W feature map over its full grid.
+    """Mask-weighted average of (..., D, H, W) features over the full grid.
 
-    Returns (1 / (H*W)) * sum_{h,w} mask[h, w] * feat[:, h, w] as float64.
-    The divisor is the grid size, not the mask mass, so an all-zero mask
-    yields the zero vector.
+    ``mask`` is (..., H, W); each map's (D,) float64 result is
+    (1 / (H*W)) * sum_{h,w} mask[h, w] * feat[:, h, w], so the divisor is the
+    grid size and an all-zero mask yields the zero vector. One einsum per
+    ``_by_image`` range sums the float64 products over the pixel axis in
+    numpy's own order (SIMD partial sums, neither left to right nor pairwise;
+    a separate multiply and add each), fixed for a numpy build. Each map gets
+    the bits it would get on its own, whatever the split.
     """
     feat = np.asarray(feat)
     mask = np.asarray(mask)
-    if feat.ndim != 3 or mask.ndim != 2 or feat.shape[1:] != mask.shape:
-        raise ShapeError(
-            f"feature shape {feat.shape} incompatible with mask shape {mask.shape}"
-        )
-    d, hw = feat.shape[0], mask.size
-    mask64 = mask.astype(np.float64, copy=False).reshape(hw)
-    return _masked_gap(feat.reshape(d, hw), mask64, np.empty((d, hw), dtype=np.float64))
+    if feat.ndim < 3 or feat.shape[:-3] + feat.shape[-2:] != mask.shape:
+        raise ShapeError(f"feature shape {feat.shape} incompatible with mask shape {mask.shape}")
+    *lead, d, h, w = feat.shape
+    n = math.prod(lead)
+    flat = feat.reshape(n, d, h * w)
+    mask64 = mask.astype(np.float64, copy=False).reshape(n, h * w)
+    out = np.empty((n, d), dtype=np.float64)
 
+    def part(_, lo, hi):
+        np.einsum("ndp,np->nd", flat[lo:hi], mask64[lo:hi], out=out[lo:hi], dtype=np.float64)
 
-def _masked_gap(feat: np.ndarray, mask: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """masked_gap without checks: ``feat`` (D, H*W), ``mask`` (H*W,) float64.
-
-    ``buf`` is (D, H*W) float64 scratch that the call overwrites. Calls numpy
-    only, so it may run on a worker thread.
-    """
-    np.multiply(feat, mask, out=buf)
-    return buf.sum(axis=1) / float(buf.shape[1])
+    _by_image(n, _worker_count(), part)
+    out /= float(h * w)
+    return out.reshape(*lead, d)
 
 
 def bilinear_resize(m: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

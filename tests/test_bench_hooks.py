@@ -60,3 +60,15 @@ def test_default_decode_goes_through_the_registry(spans, rng, monkeypatch):
     means = [s for s in tracer.spans if s[3] == "decoder.mean"]
     assert len(decodes) == 2 and len(means) == 2
     assert all(names[s[2]] == "decoder.decode" for s in means)
+
+
+def test_proxy_goes_through_the_traced_kernel(spans, rng):
+    tracer = spans.Tracer()
+    fg = random_feature_group(rng, n=2, d=6, h=5, w=5)
+    init = random_map_group(rng, n=2, h=5, w=5)
+    with tracer.installed():
+        assert len(run_pipeline(fg, init, PipelineConfig(k=4, iters=2))) == 2
+    names = {s[1]: s[3] for s in tracer.spans}
+    gaps = [s for s in tracer.spans if s[3] == "tensor.masked_gap"]
+    assert len(gaps) == 2
+    assert all(names[s[2]] == "pipeline.proxy" for s in gaps)

@@ -30,11 +30,11 @@ def fixture_dirs(tmp_path):
     return data_dir
 
 
-# Recorded with the per-pixel score dump and the tempfile text writer that
-# came before the shared storage writer; same inputs must give these bytes.
+# Recorded on numpy 2.4.6 with the proxy's masked sums as one einsum per image
+# range; same inputs must give these bytes.
 PINNED_RUN_TEXT = {
-    "scores.csv": "5bfd38ce25fbc85d6e820b6336049509d5d9e4bcf76dd0f8ae83918153c6eb01",
-    "trace.jsonl": "250271bead14c1e5888f7a6afbff93fccff813b8480debad32efca45f0f36018",
+    "scores.csv": "c27e27bd3ef177b3321bf249c492aec963acf8c99e8c07edc91b7e43dd71573e",
+    "trace.jsonl": "ab41f989cee12718520562d78eecd122b354efb375d31c712240c0e4fb347013",
 }
 
 

@@ -18,7 +18,7 @@ from corp import (
     score_all,
 )
 from corp.errors import DecoderNotFoundError
-from corp.oracles import oracle_correlation_transform, oracle_search
+from corp.oracles import oracle_correlation_transform, oracle_proxy, oracle_search
 from corp.pipeline import IterationRecord, IterationTrace
 from conftest import (
     assert_reference_decode_pinned,
@@ -49,13 +49,14 @@ THREAD_COUNT_SNIPPET = (
     "    print(n, h.hexdigest())\n"
 )
 
-# THREAD_COUNT_SNIPPET's output, recorded from the channel sum that wrote every
-# float64 product into scratch and added the rows with one add.reduce: any
-# faster channel sum must keep these bits.
+# THREAD_COUNT_SNIPPET's output on numpy 2.4.6, recorded from the channel sum
+# that wrote every float64 product into scratch and added the rows with one
+# add.reduce, and from the proxy's masked sums as one einsum "ndp,np->nd" per
+# image range: any faster kernel must keep these bits.
 THREAD_COUNT_DIGESTS = (
-    "20 fc4fb3320096015f3aba59e2fccf5df9d13964ceff2e79299fcd582a93429b65\n"
-    "1 b5b92082121a260f1e8a6746d74d14a175419f31cb6f1b19b85e5582b465e061\n"
-    "3 f3d9cf66bb86eae5a1597d82da2a494f85a40881b27347bbbd830d8d38f82175\n"
+    "20 f9176bac396f51e2f348e489c761ce834ce697400d0c56de730b18d806c17e4b\n"
+    "1 4dc4ba18af007a9007cbb114dea85b42383c99c5052f6490cd2f0ad9b2cdb074\n"
+    "3 bbe53a4e4fda8a18244db7fad48456433cd12a40ee07b025e2221bca26e00e81\n"
     "4 563d88cec204e71d50bda6ed6839fcf96a0bfcad6f174f9e4b3dadd278febaf7\n"
 )
 
@@ -456,3 +457,15 @@ class TestShippedScale:
             assert np.abs(stack.maps - ref).max() <= 1e-5
         assert_reference_decode_pinned(fg, init, PipelineConfig(k=k, iters=iters), trace)
 
+    def test_proxy_matches_the_oracle_at_wide_depth(self):
+        # The wide shape's depth and grid on two images: every iteration's
+        # proxy against the pure-Python masked mean of that iteration's source.
+        rng = np.random.default_rng(7)
+        fg = random_feature_group(rng, n=2, d=512, h=28, w=28)
+        init = random_map_group(rng, n=2, h=28, w=28)
+        trace = run_pipeline(fg, init, PipelineConfig(k=45, iters=6))
+        sources = [init] + [rec.maps for rec in trace.records[:-1]]
+        for rec, source in zip(trace.records, sources):
+            vec, degenerate = oracle_proxy(fg.embeddings, source.maps)
+            assert rec.proxy.degenerate == degenerate
+            assert np.abs(rec.proxy.vec - np.asarray(vec)).max() <= 1e-12

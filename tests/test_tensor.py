@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +46,26 @@ def channel_dot_cases(draw):
     for x in (a, b):
         x[rng.random(x.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
     return (b if form == "self" else a), b, draw(st.integers(1, 4))
+
+
+@st.composite
+def masked_gap_cases(draw):
+    """``(feat, mask, workers)``: (N, D, H, W) float32 or float64 features, (N, H, W) masks."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 64))
+    h, w = draw(st.sampled_from([(1, 1), (1, 2), (5, 8), (28, 28)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feat = rng.standard_normal((n, d, h, w)).astype(draw(st.sampled_from([np.float32, np.float64])))
+    mask = rng.random((n, h, w)).astype(draw(st.sampled_from([np.float32, np.float64])))
+    mask[rng.random(mask.shape) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    return feat, mask, draw(st.integers(1, 4))
+
+
+def fused_lane_sum(a, b, lanes: int) -> float:
+    """sum(a * b) with one fused multiply-add per element into ``lanes`` accumulators."""
+    acc = [0.0] * lanes
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        acc[i % lanes] = float(Fraction(acc[i % lanes]) + Fraction(x) * Fraction(y))
+    return math.fsum(acc)
 
 
 def assert_same_bits(got, want):
@@ -222,6 +245,46 @@ class TestMaskedGap:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             masked_gap(np.ones((2, 3, 3)), np.ones((4, 4)))
+        with pytest.raises(ShapeError):
+            masked_gap(np.ones((2, 4, 3, 3)), np.ones((3, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_gap_cases())
+    def test_batch_matches_image_by_image_bitwise(self, case):
+        feat, mask, workers = case
+        with pytest.MonkeyPatch.context() as mp:
+            patch_worker_count(mp, workers)
+            got = masked_gap(feat, mask)
+            one_by_one = np.stack([masked_gap(f, m) for f, m in zip(feat, mask)])
+            nested = masked_gap(feat[None], mask[None])[0]
+        assert_same_bits(got, one_by_one)
+        assert_same_bits(nested, got)
+
+    def test_grid_larger_than_a_buffer(self, rng):
+        # 224 x 224 pixels exceed einsum's 8192-element buffer.
+        feat = rng.standard_normal((3, 8, 224, 224)).astype(np.float32)
+        mask = rng.random((3, 224, 224))
+        with pytest.MonkeyPatch.context() as mp:
+            patch_worker_count(mp, 2)
+            got = masked_gap(feat, mask)
+        assert_same_bits(got, np.stack([masked_gap(f, m) for f, m in zip(feat, mask)]))
+        want = (feat.astype(np.float64) * mask[:, None]).sum(axis=(2, 3)) / (224 * 224)
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_pixel_sum_does_not_fuse_multiply_add(self):
+        # Each (1 + 2**-30) * (1 - 2**-30) rounds to 1.0 and cancels a -1.0
+        # exactly, in any order, so the sum is 0.0. A multiply-add fused per
+        # SIMD lane keeps the products exact and leaves -2**-60 in every lane.
+        feat = np.array([-1.0] * 64 + [1 + 2**-30] * 64)
+        mask = np.array([1.0] * 64 + [1 - 2**-30] * 64)
+        assert all(fused_lane_sum(feat, mask, lanes) < 0.0 for lanes in (1, 2, 4, 8))
+        got = np.einsum("ndp,np->nd", feat[None, None], mask[None], dtype=np.float64).tolist()
+        kernel = masked_gap(feat.reshape(1, 1, 128), mask.reshape(1, 128)).tolist()
+        assert got == [[0.0]] and kernel == [0.0], (
+            f"einsum gave {got}, masked_gap {kernel}: this numpy build fuses multiply and add "
+            "in the proxy's pixel sum, which breaks the bit-identity contract (the proxy's "
+            "bits fixed for a numpy build, equal across runs and thread counts)"
+        )
 
 
 class TestBilinearResize:
