@@ -112,7 +112,7 @@ def _load_map_group(directory: str, stems: list[str]) -> MapGroup:
         if maps and m.shape != maps[0].shape:
             raise ShapeError(f"{path}: shape {m.shape} disagrees with the group's {maps[0].shape}")
         maps.append(m)
-    return MapGroup(np.stack(maps))
+    return MapGroup(maps)
 
 
 def cmd_run(args) -> int:

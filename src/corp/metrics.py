@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,20 +66,26 @@ def _pairs(pred: MapGroup, gt: MapGroup) -> Iterator[tuple[np.ndarray, np.ndarra
     return ((p.astype(np.float64), g >= 0.5) for p, g in zip(pred.maps, gt.maps))
 
 
+def _image_mae(p: np.ndarray, g: np.ndarray) -> float:
+    d = p - g  # the ufunc casts the boolean gt: no float64 copy of it
+    return float(np.abs(d, out=d).mean())
+
+
 def mae(pred: MapGroup, gt: MapGroup) -> float:
     """Mean absolute error over all pixels of all images."""
-    per_image = [float(np.abs(p - g.astype(np.float64)).mean()) for p, g in _pairs(pred, gt)]
-    return float(np.mean(per_image))
+    return float(np.mean([_image_mae(p, g) for p, g in _pairs(pred, gt)]))
 
 
 def _threshold_counts(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     """``(tp, fp, n_fg, hw)`` of one image; tp and fp are float64 over the 256 thresholds."""
     b = np.ceil(p.ravel() * 256.0).astype(np.intp)
-    fg = g.ravel()
-    hist = np.stack([np.bincount(b[fg], minlength=257), np.bincount(b[~fg], minlength=257)])
+    # Foreground bins go to 0..256, background bins to 257..513: one histogram.
+    b += 257
+    b -= g.ravel() * np.int16(257)  # an int16 temporary: a quarter of the bytes
+    hist = np.bincount(b, minlength=514).reshape(2, 257)
     # Mass above bin k for k = 0..255: a cumsum from the top bin down, bin 0 dropped.
     tp, fp = hist[:, ::-1].cumsum(axis=1)[:, -2::-1].astype(np.float64)
-    return tp, fp, int(fg.sum()), fg.size
+    return tp, fp, int(hist[0].sum()), b.size
 
 
 def _f_curve(counts, beta_sq: float) -> np.ndarray:
@@ -106,39 +113,50 @@ def f_measure_curve(pred: MapGroup, gt: MapGroup, beta_sq: float = DEFAULT_BETA_
 
 
 def _object_similarity(x: np.ndarray) -> float:
-    m = float(x.mean())
-    s = float(x.std())
+    mean = x.mean(keepdims=True)  # the shape std's ``mean=`` takes; same bits as x.mean()
+    s = float(x.std(mean=mean))
+    m = float(mean[0])
     return 2.0 * m / (m * m + 1.0 + 2.0 * s + EPS)
 
 
-def _block_similarity(x: np.ndarray, y: np.ndarray) -> float:
+def _block_similarity(x: np.ndarray, gb: np.ndarray) -> float:
+    """SSIM-like similarity of a prediction block and its boolean gt block.
+
+    Each sum runs over a contiguous temporary, as ``((x - xm) ** 2).sum()``
+    would: a sum over the strided block itself adds in another order.
+    """
     n = x.size
     xm = float(x.mean())
-    ym = float(y.mean())
+    ym = int(np.count_nonzero(gb)) / n  # the mean of 0/1 values, exactly
     if n > 1:
-        sx = float(((x - xm) ** 2).sum()) / (n - 1)
-        sy = float(((y - ym) ** 2).sum()) / (n - 1)
-        sxy = float(((x - xm) * (y - ym)).sum()) / (n - 1)
+        dx = x - xm
+        dy = np.where(gb, 1.0 - ym, 0.0 - ym)
+        prod = dx * dy
+        sxy = float(prod.sum()) / (n - 1)
+        sx = float(np.multiply(dx, dx, out=prod).sum()) / (n - 1)
+        sy = float(np.multiply(dy, dy, out=prod).sum()) / (n - 1)
     else:
         sx = sy = sxy = 0.0
     return (4.0 * xm * ym * sxy + EPS) / ((xm * xm + ym * ym) * (sx + sy) + EPS)
 
 
-def _image_s(p: np.ndarray, g: np.ndarray, alpha: float) -> float:
-    if not g.any():
+def _image_s(p: np.ndarray, g: np.ndarray, alpha: float, n_fg: int) -> float:
+    """S-measure of one image; ``n_fg`` is the number of foreground pixels of ``g``."""
+    h, w = g.shape
+    if n_fg == 0:
         return min(1.0, max(0.0, 1.0 - float(p.mean())))
-    if g.all():
+    if n_fg == h * w:
         return min(1.0, max(0.0, float(p.mean())))
-    mu = float(g.mean())
-    s_object = mu * _object_similarity(p[g]) + (1.0 - mu) * _object_similarity((1.0 - p)[~g])
+    mu = n_fg / (h * w)
+    bg = p[~g]
+    np.subtract(1.0, bg, out=bg)  # 1 - p on the background pixels only
+    s_object = mu * _object_similarity(p[g]) + (1.0 - mu) * _object_similarity(bg)
 
     # Region term: split both maps at the foreground centroid (rounded
-    # half-up); the first block includes the centroid row/column.
-    ys, xs = np.nonzero(g)
-    cy = int(np.floor(ys.mean() + 0.5))
-    cx = int(np.floor(xs.mean() + 0.5))
-    h, w = g.shape
-    g64 = g.astype(np.float64)
+    # half-up); the first block includes the centroid row/column. The
+    # coordinate sums are exact integers.
+    cy = math.floor(int(np.dot(np.arange(h), np.count_nonzero(g, axis=1))) / n_fg + 0.5)
+    cx = math.floor(int(np.dot(np.arange(w), np.count_nonzero(g, axis=0))) / n_fg + 0.5)
     s_region = 0.0
     for r0, r1 in ((0, cy + 1), (cy + 1, h)):
         for c0, c1 in ((0, cx + 1), (cx + 1, w)):
@@ -146,14 +164,15 @@ def _image_s(p: np.ndarray, g: np.ndarray, alpha: float) -> float:
             if n_block <= 0:
                 continue
             weight = n_block / (h * w)
-            s_region += weight * _block_similarity(p[r0:r1, c0:c1], g64[r0:r1, c0:c1])
+            s_region += weight * _block_similarity(p[r0:r1, c0:c1], g[r0:r1, c0:c1])
     s = alpha * s_object + (1.0 - alpha) * s_region
     return min(1.0, max(0.0, s))
 
 
 def s_measure(pred: MapGroup, gt: MapGroup, alpha: float = DEFAULT_S_ALPHA) -> float:
     """Structure similarity: object term + centroid-split region term."""
-    return float(np.mean([_image_s(p, g, alpha) for p, g in _pairs(pred, gt)]))
+    per_image = [_image_s(p, g, alpha, int(np.count_nonzero(g))) for p, g in _pairs(pred, gt)]
+    return float(np.mean(per_image))
 
 
 def _alignment(phi_g: float, phi_p: np.ndarray) -> np.ndarray:
@@ -240,10 +259,10 @@ def evaluate(
         curves.append(_f_curve(counts[-1], beta_sq))
         rows.append(ImageMetrics(
             image_id=image_id,
-            mae=float(np.abs(p - g.astype(np.float64)).mean()),
+            mae=_image_mae(p, g),
             f_max=float(curves[-1].max()),
             f_avg=float(curves[-1].mean()),
-            s_measure=_image_s(p, g, s_alpha),
+            s_measure=_image_s(p, g, s_alpha, counts[-1][2]),
             e_mean=_e_mean(counts[-1]),
         ))
     group_curve = np.stack(curves).mean(axis=0)

@@ -6,9 +6,9 @@ row-major scalar payload. Every file corp writes (tensors, maps, CSVs, the
 trace) goes through one temp file plus rename, so readers never observe
 partial files.
 
-PGM maps are 8-bit binary P5 with maxval 255. Reading divides by 255 into
-[0, 1]; writing multiplies by 255 and rounds half up, so a map survives
-write/read unchanged once it has been quantized.
+PGM maps are 8-bit binary P5 with maxval 255. Reading divides by 255 in
+float32 into [0, 1]; writing multiplies by 255 and rounds half up, so a map
+survives write/read unchanged once it has been quantized.
 """
 from __future__ import annotations
 
@@ -130,7 +130,10 @@ def write_map_pgm(path, m: np.ndarray) -> None:
 
 
 def read_map_pgm(path) -> np.ndarray:
-    """Read a binary P5 PGM (maxval 255) into a float32 map in [0, 1]."""
+    """Read a binary P5 PGM (maxval 255) into a float32 map in [0, 1].
+
+    Level k reads as ``np.float32(k / 255)``, from one float32 divide.
+    """
     path = Path(path)
     data = path.read_bytes()
     tokens, offset = _pgm_header_tokens(path, data)
@@ -149,7 +152,8 @@ def read_map_pgm(path) -> np.ndarray:
     if len(payload) != w * h:
         raise PgmFormatError(f"{path}: expected {w * h} payload bytes, got {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
-    return (arr.astype(np.float64) / 255.0).astype(np.float32)
+    # Equal, level by level, to a float64 divide rounded to float32.
+    return np.divide(arr, np.float32(255.0), dtype=np.float32)
 
 
 def _pgm_header_tokens(path: Path, data: bytes) -> tuple[list[bytes], int]:

@@ -1,7 +1,10 @@
 """Pipeline data types. Constructors validate, instances are frozen.
 
 The arrays inside every type are marked read-only after construction, so
-instances can be shared freely across threads.
+instances can be shared freely across threads. No caller can write through
+them either: an ndarray (or other array-like) argument is copied, since the
+caller may still hold it, while a list or tuple is stacked once into a fresh
+array that nobody else references, and that array is frozen in place.
 """
 from __future__ import annotations
 
@@ -21,7 +24,9 @@ PROXY_MODES = ("from_maps", "from_ground_truth")
 
 
 def _frozen(x, dtype=None) -> np.ndarray:
-    arr = np.array(x, dtype=dtype, order="C")
+    """A read-only C-ordered array of ``x``; see the module docstring for when it copies."""
+    fresh = isinstance(x, (list, tuple))
+    arr = np.array(x, dtype=dtype, order="C", copy=None if fresh else True)
     arr.setflags(write=False)
     return arr
 
@@ -37,14 +42,13 @@ class FeatureGroup:
     embeddings: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.embeddings)
+        arr = _frozen(self.embeddings)
         if arr.ndim != 4:
             raise ShapeError(f"expected (N, D, H, W) embeddings, got shape {arr.shape}")
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
+            arr = _frozen(arr, np.float32)
         if min(arr.shape) < 1:
             raise ShapeError(f"all extents must be positive, got {arr.shape}")
-        arr = _frozen(arr)
         # Square and sum in float64 image by image: no float64 copy of the group.
         # Non-finite values give a non-finite norm and fail the check below.
         n, d, h, w = arr.shape
@@ -69,7 +73,7 @@ class FeatureGroup:
         shapes = {t.shape for t in stacked}
         if len(shapes) != 1:
             raise ShapeError(f"per-image tensors disagree on shape: {sorted(shapes)}")
-        return cls(np.stack(stacked))
+        return cls(stacked)
 
     @property
     def n_images(self) -> int:
@@ -95,22 +99,22 @@ class MapGroup:
     maps: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.maps)
+        arr = _frozen(self.maps)
         if arr.ndim != 3:
             raise ShapeError(f"expected (N, H, W) maps, got shape {arr.shape}")
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
+            arr = _frozen(arr, np.float32)
         if min(arr.shape) < 1:
             raise ShapeError(f"all extents must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise RangeViolationError("maps contain non-finite values")
-        bad = (arr < 0.0) | (arr > 1.0)
-        if bad.any():
-            n, h, w = np.argwhere(bad)[0]
+        # A NaN or an infinity fails this test too; only then is it told apart.
+        if not (0.0 <= arr.min() and arr.max() <= 1.0):
+            if not np.all(np.isfinite(arr)):
+                raise RangeViolationError("maps contain non-finite values")
+            n, h, w = np.argwhere((arr < 0.0) | (arr > 1.0))[0]
             raise RangeViolationError(
                 f"map value {arr[n, h, w]!r} out of [0, 1] at (image={n}, row={h}, col={w})"
             )
-        object.__setattr__(self, "maps", _frozen(arr))
+        object.__setattr__(self, "maps", arr)
 
     @classmethod
     def all_ones(cls, n_images: int, height: int, width: int) -> "MapGroup":

@@ -320,3 +320,77 @@ class TestPinnedEval224:
         report = evaluate(*loaded, image_ids=stems)
         assert _report_hex(report) == (group_hex, rows_sha)
         assert report.zero_foreground == (0,)
+
+
+def _edge_group(dtype):
+    """(pred, gt) of 6x7 images that reach the S-measure branches random groups miss.
+
+    Images, by gt: foreground centroid on the last row, then on the last
+    column (each empties two region blocks); one pixel in the bottom-right
+    corner (only one block is non-empty); one pixel at the origin (a 1-pixel
+    block); a centroid that leaves a 1-pixel block bottom-right; a centroid
+    at x.5 (rounded half up); all foreground; all background; and random
+    masks. Predictions hold exact 0.0, -0.0 and 1.0 next to random values,
+    and one prediction equals its gt.
+    """
+    h, w = 6, 7
+    r = np.random.default_rng(2303)
+    gt = np.zeros((12, h, w), dtype=bool)
+    gt[0, 5, 1:4] = True
+    gt[1, 1:4, 6] = True
+    gt[2, 5, 6] = True
+    gt[3, 0, 0] = True
+    gt[4, 3:6, 4:7] = True
+    gt[5, 2:4, 1:3] = True
+    gt[6] = True
+    gt[8:] = r.random((4, h, w)) < 0.4
+    pred = r.random((12, h, w))
+    pred[:, 0] = 0.0
+    pred[:, 1] = -0.0
+    pred[:, 2, ::2] = 1.0
+    pred[9] = gt[9]
+    pred[10] = 0.0
+    pred[11] = -0.0
+    return MapGroup(pred.astype(dtype)), MapGroup(gt.astype(dtype))
+
+
+# Recorded before the S-measure, histogram and MAE rewrites; they must
+# reproduce every bit.
+PINNED_EDGE = {
+    "float32": (["0x1.876293e2fbefcp-2", "0x1.1600b20c12f40p-2", "0x1.ec60adad036abp-3",
+                 "0x1.9d3ac9b7a540bp-2", "0x1.d582a2f4f996cp-2"],
+                "fb98875ebfd2e9cd95ff734aefe4f33fbb04b073b5e6af4fd20b70eeebedc1e1"),
+    "float64": (["0x1.876293dc1e485p-2", "0x1.1600b20c12f40p-2", "0x1.ec60adad036abp-3",
+                 "0x1.9d3ac9c0d3bfdp-2", "0x1.d582a2f4f996cp-2"],
+                "bae0ea6d628d9395519cf6a3258709a627f00c41ea9ed8268a0f5313c3e12777"),
+}
+
+
+class TestPinnedEdgeGroup:
+    @pytest.mark.parametrize("dtype", sorted(PINNED_EDGE))
+    def test_report_bits_pinned(self, dtype):
+        report = evaluate(*_edge_group(np.dtype(dtype)))
+        assert _report_hex(report) == PINNED_EDGE[dtype]
+        assert report.zero_foreground == (7,)
+
+    def test_every_field_is_a_python_float(self):
+        report = evaluate(*_edge_group(np.float32))
+        fields = ("mae", "f_max", "f_avg", "s_measure", "e_mean")
+        for r in (report,) + report.per_image:
+            assert [type(getattr(r, f)) for f in fields] == [float] * len(fields)
+
+
+class TestOneFormulaPerMetric:
+    @pytest.mark.parametrize("source", ["random", "edge"])
+    def test_public_functions_equal_evaluate_bitwise(self, rng, source):
+        if source == "random":
+            pred, gt = random_map_group(rng, n=4, h=9, w=11), random_binary_group(rng, n=4, h=9, w=11)
+        else:
+            pred, gt = _edge_group(np.float32)
+        report = evaluate(pred, gt)
+        curve = f_measure_curve(pred, gt)
+        assert float.hex(report.mae) == float.hex(mae(pred, gt))
+        assert float.hex(report.s_measure) == float.hex(s_measure(pred, gt))
+        assert float.hex(report.e_mean) == float.hex(e_measure_mean(pred, gt))
+        assert float.hex(report.f_max) == float.hex(float(curve.max()))
+        assert float.hex(report.f_avg) == float.hex(float(curve.mean()))

@@ -129,6 +129,19 @@ class TestPgm:
         write_map_pgm(p2, once)
         assert np.array_equal(read_map_pgm(p2), once)
 
+    def test_every_level_decodes_to_its_float32_quotient(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        for k in range(256):
+            path.write_bytes(b"P5\n1 1\n255\n" + bytes([k]))
+            got = read_map_pgm(path)
+            assert got.dtype == np.float32
+            assert got.view(np.uint32)[0, 0] == np.float32(k / 255.0).view(np.uint32), k
+
+    def test_write_read_write_gives_the_same_bytes(self, rng, tmp_path):
+        write_map_pgm(tmp_path / "a.pgm", rng.random((9, 11)))
+        write_map_pgm(tmp_path / "b.pgm", read_map_pgm(tmp_path / "a.pgm"))
+        assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
+
     def test_ascii_pgm_rejected(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")

@@ -68,6 +68,20 @@ class TestFeatureGroup:
         norms = np.sqrt((fg.embeddings.astype(np.float64) ** 2).sum(axis=1))
         assert np.abs(norms - 1.0).max() <= 1e-5
 
+    def test_caller_array_copied_and_frozen(self, rng):
+        arr = random_feature_group(rng, n=1, d=3, h=2, w=2).embeddings.copy()
+        fg = FeatureGroup(arr)
+        arr[0, :, 0, 0] = [1.0, 0.0, 0.0]
+        assert not np.array_equal(fg.embeddings[0, :, 0, 0], arr[0, :, 0, 0])
+        assert not fg.embeddings.flags.writeable and arr.flags.writeable
+
+    def test_from_tensors_gives_a_read_only_array(self, rng):
+        tensors = list(random_feature_group(rng, n=2, d=3, h=2, w=2).embeddings.copy())
+        fg = FeatureGroup.from_tensors(tensors)
+        before = fg.embeddings.copy()
+        tensors[0][:, 0, 0] = [1.0, 0.0, 0.0]
+        assert np.array_equal(fg.embeddings, before) and not fg.embeddings.flags.writeable
+
     def test_immutable(self, rng):
         fg = random_feature_group(rng)
         with pytest.raises(ValueError):
@@ -97,6 +111,38 @@ class TestMapGroup:
     def test_negative_rejected(self):
         with pytest.raises(RangeViolationError):
             MapGroup(np.full((1, 1, 1), -0.1, dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        arr = np.zeros((2, 2, 2), dtype=np.float32)
+        arr[0, 0, 1] = 1.5
+        arr[1, 1, 0] = bad
+        with pytest.raises(RangeViolationError, match="^maps contain non-finite values$"):
+            MapGroup(arr)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_and_one_accepted(self, dtype):
+        mg = MapGroup(np.array([[[-0.0, 1.0], [0.0, 0.5]]], dtype=dtype))
+        assert np.signbit(mg.maps[0, 0, 0]) and mg.maps[0, 0, 1] == 1.0
+
+    def test_caller_array_copied_and_frozen(self):
+        arr = np.zeros((1, 2, 2), dtype=np.float32)
+        mg = MapGroup(arr)
+        arr[0, 0, 0] = 0.5
+        assert mg.maps[0, 0, 0] == 0.0 and not mg.maps.flags.writeable
+        assert arr.flags.writeable
+
+    def test_list_input_gives_a_read_only_array(self):
+        maps = [np.zeros((2, 3), dtype=np.float32), np.ones((2, 3), dtype=np.float32)]
+        mg = MapGroup(maps)
+        maps[0][0, 0] = 0.5
+        assert mg.maps.shape == (2, 2, 3) and mg.maps.dtype == np.float32
+        assert mg.maps[0, 0, 0] == 0.0 and not mg.maps.flags.writeable
+        assert MapGroup(tuple(maps)).maps[0, 0, 0] == 0.5
+
+    def test_integer_maps_become_float32(self):
+        mg = MapGroup([[[0, 1]]])
+        assert mg.maps.dtype == np.float32 and not mg.maps.flags.writeable
 
 
 class TestProxy:
