@@ -8,7 +8,7 @@ also ships the matching evaluation metrics, a soft IoU loss with analytic
 gradients, synthetic fixtures with brute-force oracles, and a CLI.
 """
 
-from .decoder import decode_reference, get_decoder, list_decoders, register_decoder
+from .decoder import decode_reference, get_decoder
 from .errors import (
     ArgumentError,
     CorpError,
@@ -21,7 +21,6 @@ from .fixtures import FixtureSpec, SplitMix64, generate_fixture, random_fixture_
 from .losses import (
     GradCheckReport,
     LossValue,
-    combined_loss,
     grad_check,
     iou_grad_check,
     iou_loss,
@@ -49,7 +48,7 @@ from .search import (
     search_corepresentation,
 )
 from .storage import read_map_pgm, read_tensor, write_map_pgm, write_tensor
-from .tensor import bilinear_resize, l2_normalize_channels, masked_gap, topk_desc
+from .tensor import bilinear_resize, masked_gap, topk_desc
 from .types import (
     CoRepresentation,
     CorrelationMapStack,
@@ -57,7 +56,6 @@ from .types import (
     MapGroup,
     PipelineConfig,
     Proxy,
-    validate_group,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +81,6 @@ __all__ = [
     "ShapeError",
     "SplitMix64",
     "bilinear_resize",
-    "combined_loss",
     "compute_proxy",
     "correlation_transform",
     "decode_reference",
@@ -95,22 +92,18 @@ __all__ = [
     "grad_check",
     "iou_grad_check",
     "iou_loss",
-    "l2_normalize_channels",
-    "list_decoders",
     "mae",
     "masked_gap",
     "purity_proportion",
     "random_fixture_spec",
     "read_map_pgm",
     "read_tensor",
-    "register_decoder",
     "resize_map_group",
     "run_pipeline",
     "s_measure",
     "score_all",
     "search_corepresentation",
     "topk_desc",
-    "validate_group",
     "write_map_pgm",
     "write_metrics_csv",
     "write_tensor",

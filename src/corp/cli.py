@@ -20,8 +20,15 @@ from .types import FeatureGroup, MapGroup, PipelineConfig
 _EXIT_CODES = {"argument": 2, "format": 3, "shape": 4}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends as one ``error:argument:`` line, like every other failure."""
+
+    def error(self, message):
+        raise ArgumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="corp", description="Co-representation purification pipeline")
+    parser = _Parser(prog="corp", description="Co-representation purification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the iterative co-saliency pipeline on a group")
@@ -58,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except CorpError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)
@@ -137,7 +144,7 @@ def cmd_run(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    final = trace.final_maps(init_maps)
+    final = trace.records[-1].maps if trace.records else init_maps
     for i, stem in enumerate(stems):
         write_map_pgm(out_dir / f"{stem}.pgm", final.maps[i])
     if args.trace:

@@ -1,12 +1,12 @@
 """Decoders turning a purified co-representation into co-saliency maps.
 
-Every registered decoder takes ``(features, proxy, corep, scores)``, with
-``scores`` the iteration's ``score_all`` vector, and returns a MapGroup at
-the feature grid, never resized; the pipeline calls the one PipelineConfig
-names, and resizes only its input maps, on entry. The built-in "reference"
-decoder, ``decode_corep``, never builds the correlation stack. A decoder
-that needs it calls ``correlation_transform(features, proxy, corep,
-scores=scores)``, and can pass it to ``decode_reference``.
+A decoder takes ``(features, proxy, corep, scores)``, with ``scores`` the
+iteration's ``score_all`` vector, and returns a MapGroup at the feature
+grid, never resized; the pipeline calls the one ``DECODERS`` entry that
+PipelineConfig names, and resizes only its input maps, on entry. The
+"reference" decoder, ``decode_corep``, never builds the correlation stack.
+A decoder that needs it calls ``correlation_transform(features, proxy,
+corep, scores=scores)``, and can pass it to ``decode_reference``.
 """
 from __future__ import annotations
 
@@ -14,16 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DecoderNotFoundError, RegistrationError
+from .errors import DecoderNotFoundError
 from .tensor import _channel_dots
 from .types import CoRepresentation, CorrelationMapStack, FeatureGroup, MapGroup, Proxy
 
-__all__ = ["decode_corep", "decode_mean", "decode_reference", "register_decoder", "get_decoder",
-           "list_decoders", "DecoderFn"]
+__all__ = ["DECODERS", "decode_corep", "decode_mean", "decode_reference", "get_decoder", "DecoderFn"]
 
 DecoderFn = Callable[[FeatureGroup, Proxy, CoRepresentation, np.ndarray], MapGroup]
-
-_REGISTRY: dict[str, DecoderFn] = {}
 
 MAX_EPS = 1e-12
 
@@ -63,24 +60,13 @@ def decode_corep(features: FeatureGroup, proxy: Proxy, corep: CoRepresentation,
     return decode_mean((fused * scores.reshape(n, h * w)).reshape(n, h, w))
 
 
-def register_decoder(name: str, fn: DecoderFn) -> None:
-    """Make a decoder selectable by name; duplicate names are rejected."""
-    if name in _REGISTRY:
-        raise RegistrationError(f"decoder {name!r} is already registered")
-    _REGISTRY[name] = fn
+DECODERS: dict[str, DecoderFn] = {"reference": decode_corep}
 
 
 def get_decoder(name: str) -> DecoderFn:
     try:
-        return _REGISTRY[name]
+        return DECODERS[name]
     except KeyError:
         raise DecoderNotFoundError(
-            f"unknown decoder {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown decoder {name!r}; known: {sorted(DECODERS)}"
         ) from None
-
-
-def list_decoders() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-register_decoder("reference", decode_corep)

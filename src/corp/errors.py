@@ -36,12 +36,8 @@ class DegenerateInputError(ArgumentError):
     """Input is degenerate for the requested operation (e.g. an empty union)."""
 
 
-class RegistrationError(ArgumentError):
-    """Attempt to register a decoder under a name that is already taken."""
-
-
 class DecoderNotFoundError(ArgumentError):
-    """Requested decoder name is not in the registry."""
+    """Requested decoder name is not in ``corp.decoder.DECODERS``."""
 
 
 class FormatError(CorpError, ValueError):

@@ -26,7 +26,6 @@ __all__ = [
     "GradCheckReport",
     "iou_loss",
     "iou_functional",
-    "combined_loss",
     "grad_check",
     "iou_grad_check",
 ]
@@ -103,13 +102,6 @@ def iou_functional(
         return loss.value, loss.gradient
 
     return fn
-
-
-def combined_loss(cosal: LossValue, sod: LossValue, alpha: float = 0.8, beta: float = 0.2) -> float:
-    """Weighted sum of the co-saliency and plain-saliency losses."""
-    if alpha < 0 or beta < 0:
-        raise ArgumentError(f"weights must be non-negative, got alpha={alpha}, beta={beta}")
-    return alpha * cosal.value + beta * sod.value
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,7 @@ from .decoder import get_decoder
 from .errors import ArgumentError, ShapeError
 from .search import purity_proportion, score_all, search_corepresentation
 from .tensor import bilinear_resize, masked_gap
-from .types import (
-    CoRepresentation,
-    FeatureGroup,
-    MapGroup,
-    PipelineConfig,
-    Proxy,
-    validate_group,
-)
+from .types import CoRepresentation, FeatureGroup, MapGroup, PipelineConfig, Proxy
 
 __all__ = [
     "IterationRecord",
@@ -72,10 +65,6 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def final_maps(self, default: MapGroup) -> MapGroup:
-        """Maps of the last iteration, or ``default`` for an empty trace."""
-        return self.records[-1].maps if self.records else default
-
 
 def resize_map_group(maps: MapGroup, height: int, width: int) -> MapGroup:
     """Bilinear-resize every map in the group; same-size input passes through."""
@@ -94,7 +83,11 @@ def compute_proxy(features: FeatureGroup, maps: MapGroup, iteration: int = 0) ->
     average has norm below ``PROXY_EPS`` the proxy falls back to an unmasked
     (all ones) average and is flagged degenerate.
     """
-    validate_group(features, maps)
+    n, _, h, w = features.embeddings.shape
+    if maps.maps.shape != (n, h, w):
+        raise ShapeError(
+            f"feature group has {n} images on a {h}x{w} grid, maps have shape {maps.maps.shape}"
+        )
     raw, nrm = _masked_average(features, maps.maps)
     if nrm >= PROXY_EPS:
         return Proxy(vec=raw / nrm, iteration=iteration, degenerate=False, source_norm=nrm)

@@ -75,8 +75,8 @@ def correlation_transform(
     Per image: scale each pixel embedding by its proxy score, then take
     inner products with all K selected embeddings. Output shape is
     (N, K, H, W). ``scores`` is ``score_all(features, proxy)`` when the
-    caller already has it. A registered decoder that needs the whole stack
-    calls this; the "reference" decoder needs only the mean over K and skips it.
+    caller already has it. A decoder that needs the whole stack calls this;
+    the "reference" decoder needs only the mean over K and skips it.
     """
     if proxy.dim != features.channels or corep.dim != features.channels:
         raise ShapeError(

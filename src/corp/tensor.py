@@ -100,21 +100,19 @@ def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out[:, :hw]
 
 
-def l2_normalize_channels(t: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+def l2_normalize_channels(t: np.ndarray) -> np.ndarray:
     """Normalize every spatial column of a D x H x W tensor to unit length.
 
-    Columns whose Euclidean norm falls below ``eps`` come back as all zeros
-    instead of being blown up by the division.
+    Columns whose Euclidean norm falls below ``DEFAULT_EPS`` come back as all
+    zeros instead of being blown up by the division.
     """
     t = np.asarray(t)
     if t.ndim != 3:
         raise ShapeError(f"expected a D x H x W tensor, got shape {t.shape}")
-    if not 0 < eps < np.inf:
-        raise ArgumentError(f"eps must be positive and finite, got {eps}")
     t64 = t.astype(np.float64, copy=False)
     norms = np.sqrt((t64 * t64).sum(axis=0))
-    safe = np.where(norms >= eps, norms, 1.0)
-    out = np.where(norms >= eps, t64 / safe, 0.0)
+    safe = np.where(norms >= DEFAULT_EPS, norms, 1.0)
+    out = np.where(norms >= DEFAULT_EPS, t64 / safe, 0.0)
     return out.astype(t.dtype, copy=False)
 
 

@@ -65,9 +65,9 @@ class FeatureGroup:
         object.__setattr__(self, "embeddings", arr)
 
     @classmethod
-    def from_tensors(cls, tensors, normalize: bool = False, eps: float = 1e-12) -> "FeatureGroup":
+    def from_tensors(cls, tensors, normalize: bool = False) -> "FeatureGroup":
         """Stack per-image D x H x W tensors; optionally l2-normalize first."""
-        stacked = [l2_normalize_channels(np.asarray(t), eps) if normalize else np.asarray(t) for t in tensors]
+        stacked = [l2_normalize_channels(t) if normalize else np.asarray(t) for t in tensors]
         if not stacked:
             raise ShapeError("a feature group needs at least one image")
         shapes = {t.shape for t in stacked}
@@ -225,7 +225,7 @@ class CorrelationMapStack:
     maps: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.maps, dtype=np.float64)
+        arr = _frozen(self.maps, np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"expected (N, K, H, W) stack, got shape {arr.shape}")
         if min(arr.shape) < 1:
@@ -241,7 +241,7 @@ class CorrelationMapStack:
                 f"correlation value {arr[n, k, h, w]:.6g} at (image={n}, channel={k}, "
                 f"row={h}, col={w}) exceeds [-1, 1] + {CORRELATION_SLACK}"
             )
-        object.__setattr__(self, "maps", _frozen(arr))
+        object.__setattr__(self, "maps", arr)
 
     @property
     def n_images(self) -> int:
@@ -268,6 +268,7 @@ class PipelineConfig:
     iters: int = 3
     proxy_mode: str = "from_maps"
     decoder: str = "reference"
+    # The paper's loss weights, pinned as shipped; nothing in the package reads them.
     alpha: float = 0.8
     beta: float = 0.2
     binarize_maps: bool = False
@@ -284,22 +285,3 @@ class PipelineConfig:
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise ArgumentError(f"alpha and beta must be finite and >= 0, got {self.alpha}, {self.beta}")
 
-
-def validate_group(features: FeatureGroup, maps) -> None:
-    """Check that a feature group and a map group describe the same images.
-
-    ``maps`` may be a MapGroup or a raw (N, H, W) array; raw arrays get the
-    full content validation (range violations report the first offending
-    coordinate).
-    """
-    if not isinstance(maps, MapGroup):
-        maps = MapGroup(np.asarray(maps))
-    if maps.n_images != features.n_images:
-        raise ShapeError(
-            f"feature group has {features.n_images} images, map group has {maps.n_images}"
-        )
-    if (maps.height, maps.width) != (features.height, features.width):
-        raise ShapeError(
-            f"map resolution {maps.height}x{maps.width} does not match feature grid "
-            f"{features.height}x{features.width}"
-        )

@@ -14,11 +14,9 @@ from corp import (
     FeatureGroup,
     MapGroup,
     decode_reference,
-    list_decoders,
-    register_decoder,
     run_pipeline,
 )
-from corp.decoder import MAX_EPS
+from corp.decoder import DECODERS, MAX_EPS
 from corp.oracles import oracle_correlation_transform
 
 # Same examples on every run, no example database, no deadline: hypothesis
@@ -52,14 +50,13 @@ def _decode_stack(features, proxy, corep, scores) -> MapGroup:
 
 
 def stack_decoder() -> str:
-    """Name of a registered decoder that runs ``decode_reference`` on the full stack.
+    """Name of a ``DECODERS`` entry that runs ``decode_reference`` on the full stack.
 
     It builds the (N, K, H, W) ``correlation_transform`` stack that
     "reference" skips.
     """
     name = "reference-on-stack"
-    if name not in list_decoders():
-        register_decoder(name, _decode_stack)
+    DECODERS.setdefault(name, _decode_stack)
     return name
 
 

@@ -472,6 +472,28 @@ class TestFixturesCommand:
         assert out.stderr.startswith("error:argument:") and out.stderr.count("\n") == 1
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--k", "abc"],
+        ["run"],
+        ["bogus"],
+        ["eval", "--pred", "a"],
+        [],
+    ], ids=["bad-int", "run-no-flags", "unknown-command", "eval-missing-flags", "empty"])
+    def test_one_argument_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:argument:"), captured.err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["-h"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: corp")
+
+
 class TestGradcheck:
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck", "--trials", "5"]) == 0

@@ -1,3 +1,7 @@
+import re
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +13,16 @@ from corp import (
     bilinear_resize,
     correlation_transform,
     decode_reference,
+    generate_fixture,
     get_decoder,
-    list_decoders,
-    register_decoder,
+    random_fixture_spec,
     run_pipeline,
 )
-from corp.decoder import MAX_EPS, decode_corep, decode_mean
-from corp.errors import DecoderNotFoundError, RegistrationError
+from corp.decoder import DECODERS, MAX_EPS, decode_corep, decode_mean
+from corp.errors import DecoderNotFoundError
 from conftest import map_stacks, random_feature_group, random_map_group
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def stack_of(values):
@@ -90,27 +96,38 @@ class TestDecodeReference:
 
 
 class TestRegistry:
-    def test_reference_registered(self):
-        assert "reference" in list_decoders()
-        assert get_decoder("reference") is decode_corep
+    """``DECODERS`` is a fixed table; ``get_decoder`` looks names up in it."""
 
-    def test_duplicate_rejected(self):
-        with pytest.raises(RegistrationError):
-            register_decoder("reference", decode_reference)
+    def test_reference_registered(self):
+        # Tests may add entries (conftest.stack_decoder), so only "reference" is checked.
+        assert DECODERS["reference"] is get_decoder("reference") is decode_corep
 
     def test_unknown_name(self):
-        with pytest.raises(DecoderNotFoundError):
+        with pytest.raises(DecoderNotFoundError, match="unknown decoder 'definitely-not-there'; known: "):
             get_decoder("definitely-not-there")
 
-    def test_custom_decoder_selectable(self, rng):
-        name = "identity-mean-test"
-        if name not in list_decoders():
-            def identity_mean(features, proxy, corep, scores):
-                stack = correlation_transform(features, proxy, corep, scores=scores)
-                fused = np.clip(stack.maps.mean(axis=1), 0.0, 1.0).astype(np.float32)
-                return MapGroup(fused)
-            register_decoder(name, identity_mean)
+    def test_custom_decoder_selectable(self, rng, monkeypatch):
+        def identity_mean(features, proxy, corep, scores):
+            stack = correlation_transform(features, proxy, corep, scores=scores)
+            fused = np.clip(stack.maps.mean(axis=1), 0.0, 1.0).astype(np.float32)
+            return MapGroup(fused)
+        monkeypatch.setitem(DECODERS, "identity-mean-test", identity_mean)
         fg = random_feature_group(rng, n=2, d=4, h=4, w=4)
         init = random_map_group(rng, n=2, h=4, w=4)
-        trace = run_pipeline(fg, init, PipelineConfig(k=4, iters=1, decoder=name))
+        trace = run_pipeline(fg, init, PipelineConfig(k=4, iters=1, decoder="identity-mean-test"))
         assert trace.records[0].maps.maps.shape == (2, 4, 4)
+
+
+def test_readme_stack_decoder_returns_every_records_maps():
+    """The README's stack decoder gives the reference decode's maps, bit for bit."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(textwrap.dedent(blocks[0]), namespace)
+    decode_stack = namespace["decode_stack"]
+    fg, _, init = generate_fixture(random_fixture_spec(5))
+    trace = run_pipeline(fg, init, PipelineConfig(k=8, iters=3), keep_scores=True)
+    assert len(trace) == 3
+    for rec in trace.records:
+        maps = decode_stack(fg, rec.proxy, rec.corep, rec.scores)
+        assert maps.maps.tobytes() == rec.maps.maps.tobytes()

@@ -4,10 +4,8 @@ import pytest
 from corp import (
     ArgumentError,
     DegenerateInputError,
-    LossValue,
     MapGroup,
     ShapeError,
-    combined_loss,
     grad_check,
     iou_grad_check,
     iou_loss,
@@ -77,21 +75,6 @@ class TestIouLoss:
         # Raising a strictly-below-gt pixel decreases the loss.
         below = (pred.maps < gt.maps)
         assert np.all(loss.gradient[below] < 0)
-
-
-class TestCombinedLoss:
-    def test_hand_value(self):
-        assert combined_loss(LossValue(0.25), LossValue(0.5), 0.8, 0.2) == pytest.approx(0.3)
-
-    def test_beta_zero_reduces(self):
-        assert combined_loss(LossValue(0.4), LossValue(0.9), 0.8, 0.0) == pytest.approx(0.32)
-
-    def test_both_zero(self):
-        assert combined_loss(LossValue(0.0), LossValue(0.0)) == 0.0
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ArgumentError):
-            combined_loss(LossValue(0.1), LossValue(0.1), -0.1, 0.2)
 
 
 class TestGradCheck:

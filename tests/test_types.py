@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from corp import (
     Proxy,
     RangeViolationError,
     ShapeError,
-    validate_group,
+    compute_proxy,
 )
 from conftest import random_feature_group
 
@@ -221,6 +223,21 @@ class TestCorrelationMapStack:
         arr[0, 0, 0, 0] = 0.5
         assert stack.maps[0, 0, 0, 0] == 0.0 and not stack.maps.flags.writeable
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_read_only_float64_copy(self, rng, dtype):
+        arr = rng.uniform(-1, 1, (4, 8, 32, 32)).astype(dtype)
+        tracemalloc.start()
+        try:
+            stack = CorrelationMapStack(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Converting and freezing take one float64 copy; a second one would double the peak.
+        assert peak < 1.5 * arr.size * 8
+        assert stack.maps.dtype == np.float64 and not stack.maps.flags.writeable
+        assert not np.shares_memory(stack.maps, arr)
+        assert stack.maps.tobytes() == arr.astype(np.float64).tobytes()
+
 
 class TestPipelineConfig:
     def test_shipped_defaults(self):
@@ -276,23 +293,18 @@ class TestPipelineConfig:
 
 
 class TestValidateGroup:
+    """``compute_proxy`` takes maps only for the feature group's images and grid."""
+
     def test_matched_group_ok(self, rng):
         fg = random_feature_group(rng, n=2, d=3, h=4, w=4)
-        validate_group(fg, MapGroup.all_ones(2, 4, 4))
-
-    def test_raw_maps_range_error(self, rng):
-        fg = random_feature_group(rng, n=2, d=3, h=4, w=4)
-        bad = np.zeros((2, 4, 4), dtype=np.float32)
-        bad[0, 2, 3] = 1.5
-        with pytest.raises(RangeViolationError, match=r"image=0, row=2, col=3"):
-            validate_group(fg, bad)
+        compute_proxy(fg, MapGroup.all_ones(2, 4, 4))
 
     def test_image_count_mismatch(self, rng):
         fg = random_feature_group(rng, n=2, d=3, h=4, w=4)
         with pytest.raises(ShapeError, match="2 images"):
-            validate_group(fg, MapGroup.all_ones(3, 4, 4))
+            compute_proxy(fg, MapGroup.all_ones(3, 4, 4))
 
     def test_resolution_mismatch(self, rng):
         fg = random_feature_group(rng, n=2, d=3, h=4, w=4)
-        with pytest.raises(ShapeError):
-            validate_group(fg, MapGroup.all_ones(2, 5, 5))
+        with pytest.raises(ShapeError, match="4x4 grid"):
+            compute_proxy(fg, MapGroup.all_ones(2, 5, 5))
