@@ -12,7 +12,6 @@ from .decoder import decode_reference, get_decoder
 from .errors import (
     ArgumentError,
     CorpError,
-    DegenerateInputError,
     FormatError,
     RangeViolationError,
     ShapeError,
@@ -65,7 +64,6 @@ __all__ = [
     "CoRepresentation",
     "CorpError",
     "CorrelationMapStack",
-    "DegenerateInputError",
     "FeatureGroup",
     "FixtureSpec",
     "FormatError",

@@ -272,7 +272,7 @@ def cmd_gradcheck(args) -> int:
         # Clipping may pull a point back within the tie margin; nudge it off.
         tie = np.abs(pred - gt) < 1e-3
         pred[tie] = gt[tie] - 1e-3
-        report = iou_grad_check(pred, gt, step=1e-5, tol=1e-4)
+        report = iou_grad_check(pred, gt)
         worst = max(worst, report.max_rel_error)
         if not report.passed:
             print(

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DecoderNotFoundError
+from .errors import ArgumentError
 from .tensor import _channel_dots
 from .types import CoRepresentation, CorrelationMapStack, FeatureGroup, MapGroup, Proxy
 
@@ -67,6 +67,4 @@ def get_decoder(name: str) -> DecoderFn:
     try:
         return DECODERS[name]
     except KeyError:
-        raise DecoderNotFoundError(
-            f"unknown decoder {name!r}; known: {sorted(DECODERS)}"
-        ) from None
+        raise ArgumentError(f"unknown decoder {name!r}; known: {sorted(DECODERS)}") from None

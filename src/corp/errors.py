@@ -12,7 +12,7 @@ class CorpError(Exception):
 
 
 class ArgumentError(CorpError, ValueError):
-    """Invalid argument value (bad k, negative weight, unknown decoder...)."""
+    """Invalid argument value (bad k, negative weight, unknown decoder, empty IoU union...)."""
 
     category = "argument"
 
@@ -32,35 +32,8 @@ class RangeViolationError(ShapeError):
         self.image = image
 
 
-class DegenerateInputError(ArgumentError):
-    """Input is degenerate for the requested operation (e.g. an empty union)."""
-
-
-class DecoderNotFoundError(ArgumentError):
-    """Requested decoder name is not in ``corp.decoder.DECODERS``."""
-
-
 class FormatError(CorpError, ValueError):
-    """Malformed file content."""
+    """Malformed file content: a CRPT file with a bad magic, version, dtype or
+    payload size, or a PGM that is not binary P5 with maxval 255."""
 
     category = "format"
-
-
-class BadMagicError(FormatError):
-    """File does not start with the expected magic bytes."""
-
-
-class UnsupportedVersionError(FormatError):
-    """File declares a format version this reader does not understand."""
-
-
-class UnsupportedDtypeError(FormatError):
-    """File declares an element type this reader does not understand."""
-
-
-class TruncatedPayloadError(FormatError):
-    """Payload byte count does not match the declared dimensions."""
-
-
-class PgmFormatError(FormatError):
-    """Not a binary P5 PGM with maxval 255."""

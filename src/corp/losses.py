@@ -1,11 +1,8 @@
 """Soft IoU loss with analytic gradients, plus a finite-difference checker.
 
 The loss compares prediction maps M against ground truth G through the ratio
-of elementwise-min to elementwise-max sums. Two reductions are available:
-
-* ``mean`` (default): 1 - (1/N) * sum_n ratio_n, always in [0, 1];
-* ``sum``: 1 - sum_n ratio_n, the literal per-image-sum form, which goes
-  below 0 for N >= 2 as predictions improve.
+of elementwise-min to elementwise-max sums, averaged over images:
+1 - (1/N) * sum_n ratio_n, always in [0, 1].
 
 Analytic subgradients use the symmetric convention at min/max ties: both
 branches get weight 1/2. Finite-difference checks must therefore stay away
@@ -13,12 +10,13 @@ from tie points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateInputError, ShapeError
+from .errors import ArgumentError, ShapeError
 from .types import MapGroup
 
 __all__ = [
@@ -30,7 +28,9 @@ __all__ = [
     "iou_grad_check",
 ]
 
-REDUCTIONS = ("mean", "sum")
+# Central-difference step and pass tolerance of the IoU gradient check.
+GRAD_STEP = 1e-5
+GRAD_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,9 @@ class LossValue:
     gradient: np.ndarray | None = None
 
 
-def _iou_value_grad(
-    pred: np.ndarray, gt: np.ndarray, reduction: str, with_gradient: bool
-) -> LossValue:
+def _iou_value_grad(pred: np.ndarray, gt: np.ndarray, with_gradient: bool) -> LossValue:
     n = pred.shape[0]
-    scale = 1.0 / n if reduction == "mean" else 1.0
+    scale = 1.0 / n
     total = 0.0
     grad = np.zeros_like(pred) if with_gradient else None
     for i in range(n):
@@ -53,7 +51,7 @@ def _iou_value_grad(
         inter = float(np.minimum(p, g).sum())
         union = float(np.maximum(p, g).sum())
         if union == 0.0:
-            raise DegenerateInputError(
+            raise ArgumentError(
                 f"image {i}: prediction and ground truth are both all-zero "
                 "(empty union)"
             )
@@ -65,31 +63,22 @@ def _iou_value_grad(
     return LossValue(value=1.0 - scale * total, gradient=grad)
 
 
-def iou_loss(
-    pred: MapGroup,
-    gt: MapGroup,
-    reduction: str = "mean",
-    with_gradient: bool = False,
-) -> LossValue:
+def iou_loss(pred: MapGroup, gt: MapGroup, with_gradient: bool = False) -> LossValue:
     """Soft IoU loss between prediction and ground-truth map groups.
 
     Zero exactly when the maps agree elementwise; symmetric in its arguments.
     Raises for an image whose union sum is zero.
     """
-    if reduction not in REDUCTIONS:
-        raise ArgumentError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
     if pred.maps.shape != gt.maps.shape:
         raise ShapeError(
             f"prediction shape {pred.maps.shape} does not match ground truth {gt.maps.shape}"
         )
     p = pred.maps.astype(np.float64)
     g = gt.maps.astype(np.float64)
-    return _iou_value_grad(p, g, reduction, with_gradient)
+    return _iou_value_grad(p, g, with_gradient)
 
 
-def iou_functional(
-    gt: np.ndarray, reduction: str = "mean"
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+def iou_functional(gt: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Bind ground truth, yielding pred -> (value, gradient) on raw arrays.
 
     Used by the gradient checker, which needs to evaluate at perturbed
@@ -98,7 +87,7 @@ def iou_functional(
     g = np.asarray(gt, dtype=np.float64)
 
     def fn(pred: np.ndarray) -> tuple[float, np.ndarray]:
-        loss = _iou_value_grad(np.asarray(pred, dtype=np.float64), g, reduction, True)
+        loss = _iou_value_grad(np.asarray(pred, dtype=np.float64), g, True)
         return loss.value, loss.gradient
 
     return fn
@@ -119,17 +108,20 @@ class GradCheckReport:
 def grad_check(
     fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
     point: np.ndarray,
-    step: float = 1e-5,
-    tol: float = 1e-4,
+    step: float = GRAD_STEP,
+    tol: float = GRAD_TOL,
 ) -> GradCheckReport:
     """Central-difference check of an analytic gradient, coordinate by coordinate.
 
     ``fn`` maps a float64 array to (value, gradient). The relative error per
     coordinate is |numeric - analytic| / max(|numeric|, |analytic|, 1e-12);
-    the report carries the worst coordinate.
+    the report carries the worst coordinate. A NaN error counts as the worst
+    and fails the check.
     """
-    if step <= 0 or tol <= 0:
+    if not (step > 0 and tol > 0):  # NaN fails this too
         raise ArgumentError("step and tol must be positive")
+    if math.isinf(step) or math.isinf(tol):
+        raise ArgumentError("step and tol must be finite")
     x = np.asarray(point, dtype=np.float64)
     analytic = fn(x)[1]
     worst = (0.0, (0,) * x.ndim, 0.0, 0.0)
@@ -141,7 +133,7 @@ def grad_check(
         numeric = (fn(hi)[0] - fn(lo)[0]) / (2.0 * step)
         ana = float(analytic[idx])
         rel = abs(numeric - ana) / max(abs(numeric), abs(ana), 1e-12)
-        if rel >= worst[0]:
+        if math.isnan(rel) or rel >= worst[0]:
             worst = (rel, idx, ana, numeric)
     return GradCheckReport(
         passed=worst[0] <= tol,
@@ -153,16 +145,11 @@ def grad_check(
     )
 
 
-def iou_grad_check(
-    pred: np.ndarray,
-    gt: np.ndarray,
-    step: float = 1e-5,
-    tol: float = 1e-4,
-    reduction: str = "mean",
-) -> GradCheckReport:
+def iou_grad_check(pred: np.ndarray, gt: np.ndarray) -> GradCheckReport:
     """Gradient check of the IoU loss at a tie-free interior point.
 
-    The point must sit strictly inside (0, 1) and at least 2 * step away
+    Central differences of step ``GRAD_STEP`` must match within ``GRAD_TOL``.
+    The point must sit strictly inside (0, 1) and at least 2 * GRAD_STEP away
     from every pred == gt tie, where the subgradient convention and finite
     differences disagree.
     """
@@ -170,7 +157,7 @@ def iou_grad_check(
     g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ShapeError(f"shape mismatch: {p.shape} vs {g.shape}")
-    margin = 2.0 * step
+    margin = 2.0 * GRAD_STEP
     inside = (p > margin) & (p < 1.0 - margin)
     if not inside.all():
         idx = tuple(int(v) for v in np.argwhere(~inside)[0])
@@ -185,4 +172,4 @@ def iou_grad_check(
             f"precondition violation: |pred - gt| = {abs(p[idx] - g[idx]):.3g} at "
             f"{list(idx)} is within 2*step of a min/max tie"
         )
-    return grad_check(iou_functional(g, reduction), p, step=step, tol=tol)
+    return grad_check(iou_functional(g), p)

@@ -15,6 +15,8 @@ Conventions, fixed here once and mirrored by the naive oracle implementations:
 * eps = 1e-8 regularizes every ratio; it enters numerator and denominator
   symmetrically in the similarity ratios, so exact agreement scores
   exactly 1 regardless of foreground size.
+* F uses beta^2 = ``DEFAULT_BETA_SQ`` = 0.3; S weighs its object term by
+  alpha = ``DEFAULT_S_ALPHA`` = 0.5 and its region term by 1 - alpha.
 * Group values average per-image values (for the F curve: per-threshold
   average of per-image curves).
 * Degenerate ground truth: all-background gt scores S = 1 - mean(pred) and
@@ -88,7 +90,7 @@ def _threshold_counts(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
     return tp, fp, int(hist[0].sum()), b.size
 
 
-def _f_curve(counts, beta_sq: float) -> np.ndarray:
+def _f_curve(counts) -> np.ndarray:
     """Per-threshold F scores of one image; zero-foreground gt scores 0 throughout."""
     tp, fp, n_fg, _ = counts
     if n_fg == 0:
@@ -96,19 +98,19 @@ def _f_curve(counts, beta_sq: float) -> np.ndarray:
     predicted = tp + fp
     precision = np.divide(tp, predicted, out=np.zeros(256), where=predicted > 0)
     recall = tp / n_fg
-    denom = beta_sq * precision + recall
+    denom = DEFAULT_BETA_SQ * precision + recall
     return np.divide(
-        (1.0 + beta_sq) * precision * recall, denom, out=np.zeros(256), where=denom > 0
+        (1.0 + DEFAULT_BETA_SQ) * precision * recall, denom, out=np.zeros(256), where=denom > 0
     )
 
 
-def f_measure_curve(pred: MapGroup, gt: MapGroup, beta_sq: float = DEFAULT_BETA_SQ) -> np.ndarray:
+def f_measure_curve(pred: MapGroup, gt: MapGroup) -> np.ndarray:
     """Group F-measure curve: per-image F at each threshold, averaged.
 
     Images with zero-foreground ground truth contribute F = 0 at every
     threshold.
     """
-    curves = [_f_curve(_threshold_counts(p, g), beta_sq) for p, g in _pairs(pred, gt)]
+    curves = [_f_curve(_threshold_counts(p, g)) for p, g in _pairs(pred, gt)]
     return np.stack(curves).mean(axis=0)
 
 
@@ -140,7 +142,7 @@ def _block_similarity(x: np.ndarray, gb: np.ndarray) -> float:
     return (4.0 * xm * ym * sxy + EPS) / ((xm * xm + ym * ym) * (sx + sy) + EPS)
 
 
-def _image_s(p: np.ndarray, g: np.ndarray, alpha: float, n_fg: int) -> float:
+def _image_s(p: np.ndarray, g: np.ndarray, n_fg: int) -> float:
     """S-measure of one image; ``n_fg`` is the number of foreground pixels of ``g``."""
     h, w = g.shape
     if n_fg == 0:
@@ -165,13 +167,13 @@ def _image_s(p: np.ndarray, g: np.ndarray, alpha: float, n_fg: int) -> float:
                 continue
             weight = n_block / (h * w)
             s_region += weight * _block_similarity(p[r0:r1, c0:c1], g[r0:r1, c0:c1])
-    s = alpha * s_object + (1.0 - alpha) * s_region
+    s = DEFAULT_S_ALPHA * s_object + (1.0 - DEFAULT_S_ALPHA) * s_region
     return min(1.0, max(0.0, s))
 
 
-def s_measure(pred: MapGroup, gt: MapGroup, alpha: float = DEFAULT_S_ALPHA) -> float:
+def s_measure(pred: MapGroup, gt: MapGroup) -> float:
     """Structure similarity: object term + centroid-split region term."""
-    per_image = [_image_s(p, g, alpha, int(np.count_nonzero(g))) for p, g in _pairs(pred, gt)]
+    per_image = [_image_s(p, g, int(np.count_nonzero(g))) for p, g in _pairs(pred, gt)]
     return float(np.mean(per_image))
 
 
@@ -234,13 +236,7 @@ class MetricReport:
     zero_foreground: tuple[int, ...]
 
 
-def evaluate(
-    pred: MapGroup,
-    gt: MapGroup,
-    image_ids: list[str] | None = None,
-    beta_sq: float = DEFAULT_BETA_SQ,
-    s_alpha: float = DEFAULT_S_ALPHA,
-) -> MetricReport:
+def evaluate(pred: MapGroup, gt: MapGroup, image_ids: list[str] | None = None) -> MetricReport:
     """Compute the full metric suite for a group.
 
     Group F values come from the per-threshold average of per-image curves;
@@ -256,13 +252,13 @@ def evaluate(
     counts, curves, rows = [], [], []
     for image_id, (p, g) in zip(image_ids, pairs):
         counts.append(_threshold_counts(p, g))
-        curves.append(_f_curve(counts[-1], beta_sq))
+        curves.append(_f_curve(counts[-1]))
         rows.append(ImageMetrics(
             image_id=image_id,
             mae=_image_mae(p, g),
             f_max=float(curves[-1].max()),
             f_avg=float(curves[-1].mean()),
-            s_measure=_image_s(p, g, s_alpha, counts[-1][2]),
+            s_measure=_image_s(p, g, counts[-1][2]),
             e_mean=_e_mean(counts[-1]),
         ))
     group_curve = np.stack(curves).mean(axis=0)

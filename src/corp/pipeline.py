@@ -73,7 +73,7 @@ def resize_map_group(maps: MapGroup, height: int, width: int) -> MapGroup:
     return MapGroup(np.clip(bilinear_resize(maps.maps, height, width), 0.0, 1.0))
 
 
-def compute_proxy(features: FeatureGroup, maps: MapGroup, iteration: int = 0) -> Proxy:
+def compute_proxy(features: FeatureGroup, maps: MapGroup) -> Proxy:
     """Masked average of the group features, Euclidean-normalized.
 
     Per image ``masked_gap`` takes the mask-weighted average embedding over
@@ -90,14 +90,14 @@ def compute_proxy(features: FeatureGroup, maps: MapGroup, iteration: int = 0) ->
         )
     raw, nrm = _masked_average(features, maps.maps)
     if nrm >= PROXY_EPS:
-        return Proxy(vec=raw / nrm, iteration=iteration, degenerate=False, source_norm=nrm)
+        return Proxy(vec=raw / nrm, degenerate=False, source_norm=nrm)
     ones = np.ones((features.n_images, features.height, features.width), dtype=np.float64)
     raw2, nrm2 = _masked_average(features, ones)
     if nrm2 >= PROXY_EPS:
         vec = raw2 / nrm2
     else:
         vec = np.zeros(features.channels, dtype=np.float64)
-    return Proxy(vec=vec, iteration=iteration, degenerate=True, source_norm=nrm)
+    return Proxy(vec=vec, degenerate=True, source_norm=nrm)
 
 
 def _masked_average(features: FeatureGroup, masks: np.ndarray) -> tuple[np.ndarray, float]:
@@ -144,7 +144,7 @@ def run_pipeline(
         source = gt_feat if cfg.proxy_mode == "from_ground_truth" else prev
         if cfg.binarize_maps:
             source = source.binarized()
-        proxy = compute_proxy(features, source, iteration=t)
+        proxy = compute_proxy(features, source)
         scores = score_all(features, proxy)
         corep = search_corepresentation(features, proxy, cfg.k, scores=scores)
         prev = decoder(features, proxy, corep, scores)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ShapeError
 from .tensor import _channel_dots, topk_desc
-from .types import CoRepresentation, CorrelationMapStack, FeatureGroup, MapGroup, Proxy
+from .types import (FOREGROUND_THRESHOLD, CoRepresentation, CorrelationMapStack, FeatureGroup,
+                    MapGroup, Proxy)
 
 __all__ = [
     "score_all",
@@ -93,15 +94,13 @@ def correlation_transform(
     return CorrelationMapStack(out.reshape(n, corep.k, h, w))
 
 
-def purity_proportion(corep: CoRepresentation, gt: MapGroup, threshold: float = 0.5) -> float:
+def purity_proportion(corep: CoRepresentation, gt: MapGroup) -> float:
     """Fraction of selected coordinates landing on ground-truth foreground.
 
     ``gt`` must be at the same grid resolution the coordinates were selected
     at; a coordinate counts as pure when its ground-truth value is >=
-    ``threshold``.
+    ``FOREGROUND_THRESHOLD``.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ArgumentError(f"threshold must be in [0, 1], got {threshold}")
     coords = corep.coords
     if (
         coords[:, 0].max() >= gt.n_images
@@ -113,4 +112,4 @@ def purity_proportion(corep: CoRepresentation, gt: MapGroup, threshold: float = 
             f"{gt.n_images}x{gt.height}x{gt.width}"
         )
     vals = gt.maps[coords[:, 0], coords[:, 1], coords[:, 2]]
-    return float((vals >= threshold).sum()) / corep.k
+    return float((vals >= FOREGROUND_THRESHOLD).sum()) / corep.k

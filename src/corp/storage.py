@@ -20,17 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    BadMagicError,
-    FormatError,
-    PgmFormatError,
-    RangeViolationError,
-    ShapeError,
-    TruncatedPayloadError,
-    UnsupportedDtypeError,
-    UnsupportedVersionError,
-)
+from .errors import ArgumentError, FormatError, RangeViolationError, ShapeError
 
 __all__ = ["read_tensor", "write_tensor", "read_map_pgm", "write_map_pgm"]
 
@@ -86,28 +76,28 @@ def read_tensor(path) -> np.ndarray:
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 7:
-        raise TruncatedPayloadError(f"{path}: file too short for a CRPT header ({len(data)} bytes)")
+        raise FormatError(f"{path}: file too short for a CRPT header ({len(data)} bytes)")
     magic, version, dtype_code, ndim = struct.unpack_from("<4sBBB", data, 0)
     if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
-        raise UnsupportedVersionError(f"{path}: unsupported version {version}, expected {VERSION}")
+        raise FormatError(f"{path}: unsupported version {version}, expected {VERSION}")
     if dtype_code not in _CODE_DTYPES:
-        raise UnsupportedDtypeError(f"{path}: unsupported dtype code {dtype_code}")
+        raise FormatError(f"{path}: unsupported dtype code {dtype_code}")
     if ndim == 0:
         raise FormatError(f"{path}: ndim must be in [1, 255], got 0")
     offset = 7
     if len(data) < offset + 4 * ndim:
-        raise TruncatedPayloadError(f"{path}: header declares {ndim} dims but file ends early")
+        raise FormatError(f"{path}: header declares {ndim} dims but file ends early")
     dims = struct.unpack_from(f"<{ndim}I", data, offset)
     offset += 4 * ndim
     if any(d < 1 for d in dims):
-        raise TruncatedPayloadError(f"{path}: non-positive extent in dims {dims}")
+        raise FormatError(f"{path}: non-positive extent in dims {dims}")
     dtype = _CODE_DTYPES[dtype_code]
     expected = math.prod(dims) * dtype.itemsize
     actual = len(data) - offset
     if actual != expected:
-        raise TruncatedPayloadError(
+        raise FormatError(
             f"{path}: expected {expected} payload bytes for dims {dims}, got {actual}"
         )
     arr = np.frombuffer(data, dtype=dtype, offset=offset).reshape(dims)
@@ -139,18 +129,18 @@ def read_map_pgm(path) -> np.ndarray:
     tokens, offset = _pgm_header_tokens(path, data)
     magic, w_s, h_s, maxval_s = tokens
     if magic != b"P5":
-        raise PgmFormatError(f"{path}: expected binary P5, got {magic.decode('ascii', 'replace')!r}")
+        raise FormatError(f"{path}: expected binary P5, got {magic.decode('ascii', 'replace')!r}")
     try:
         w, h, maxval = int(w_s), int(h_s), int(maxval_s)
     except ValueError:
-        raise PgmFormatError(f"{path}: non-numeric PGM header fields") from None
+        raise FormatError(f"{path}: non-numeric PGM header fields") from None
     if maxval != 255:
-        raise PgmFormatError(f"{path}: maxval must be 255, got {maxval}")
+        raise FormatError(f"{path}: maxval must be 255, got {maxval}")
     if w < 1 or h < 1:
-        raise PgmFormatError(f"{path}: non-positive dimensions {w}x{h}")
+        raise FormatError(f"{path}: non-positive dimensions {w}x{h}")
     payload = data[offset:]
     if len(payload) != w * h:
-        raise PgmFormatError(f"{path}: expected {w * h} payload bytes, got {len(payload)}")
+        raise FormatError(f"{path}: expected {w * h} payload bytes, got {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
     # Equal, level by level, to a float64 divide rounded to float32.
     return np.divide(arr, np.float32(255.0), dtype=np.float32)
@@ -173,8 +163,8 @@ def _pgm_header_tokens(path: Path, data: bytes) -> tuple[list[bytes], int]:
         while i < len(data) and not data[i:i + 1].isspace() and data[i:i + 1] != b"#":
             i += 1
         if i == start:
-            raise PgmFormatError(f"{path}: truncated PGM header")
+            raise FormatError(f"{path}: truncated PGM header")
         tokens.append(data[start:i])
     if i >= len(data) or not data[i:i + 1].isspace():
-        raise PgmFormatError(f"{path}: missing whitespace after maxval")
+        raise FormatError(f"{path}: missing whitespace after maxval")
     return tokens, i + 1

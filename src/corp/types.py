@@ -19,6 +19,8 @@ from .tensor import _channel_dots, _is_int, l2_normalize_channels
 UNIT_NORM_TOL = 1e-5
 PROXY_NORM_TOL = 1e-6
 CORRELATION_SLACK = 1e-5
+# A map or ground-truth value at or above this is foreground.
+FOREGROUND_THRESHOLD = 0.5
 
 PROXY_MODES = ("from_maps", "from_ground_truth")
 
@@ -132,8 +134,10 @@ class MapGroup:
     def width(self) -> int:
         return self.maps.shape[2]
 
-    def binarized(self, threshold: float = 0.5) -> "MapGroup":
-        return MapGroup(np.where(self.maps >= threshold, 1.0, 0.0).astype(self.maps.dtype))
+    def binarized(self) -> "MapGroup":
+        """Each value >= ``FOREGROUND_THRESHOLD`` becomes 1, every other 0."""
+        foreground = self.maps >= FOREGROUND_THRESHOLD
+        return MapGroup(np.where(foreground, 1.0, 0.0).astype(self.maps.dtype))
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,6 @@ class Proxy:
     """
 
     vec: np.ndarray
-    iteration: int = 0
     degenerate: bool = False
     source_norm: float = 0.0
 
@@ -154,8 +157,6 @@ class Proxy:
         v = _frozen(self.vec, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] < 1:
             raise ShapeError(f"proxy must be a non-empty vector, got shape {v.shape}")
-        if not _is_int(self.iteration) or self.iteration < 0:
-            raise ArgumentError(f"iteration must be an integer >= 0, got {self.iteration!r}")
         if not self.degenerate:
             nrm = float(np.sqrt((v * v).sum()))
             if abs(nrm - 1.0) > PROXY_NORM_TOL:

@@ -180,7 +180,7 @@ def test_criterion_5_gradient_check():
             pred = np.clip(gt + sign * delta, 0.05, 0.95)
             tie = np.abs(pred - gt) < 1e-3
             pred[tie] = gt[tie] - 1e-3
-            report = iou_grad_check(pred, gt, step=1e-5, tol=1e-4)
+            report = iou_grad_check(pred, gt)
             worst = max(worst, report.max_rel_error)
             assert report.passed, report
         assert worst <= 1e-4
@@ -212,7 +212,7 @@ def test_criterion_6_metric_correctness():
 
         pred = MapGroup(np.array([[[0.9, 0.9], [0.1, 0.1]]], dtype=np.float32))
         gt = MapGroup(np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=np.float32))
-        curve = f_measure_curve(pred, gt, beta_sq=0.3)
+        curve = f_measure_curve(pred, gt)
         assert THRESHOLDS[128] == 0.5
         assert abs(curve[128] - 0.565) <= 1e-3
 

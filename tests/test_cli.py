@@ -545,6 +545,14 @@ def _spec_json(draw):
     return spec
 
 
+def _main_quietly(argv) -> tuple[int, list[str]]:
+    """Run ``main`` in-process: its exit code and its stderr lines; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
 class TestFixtureSpecFuzz:
     @given(spec=_spec_json())
     def test_spec_gives_fixture_or_argument_error(self, spec):
@@ -552,9 +560,8 @@ class TestFixtureSpecFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             spec_file = Path(tmp) / "spec.json"
             spec_file.write_text(json.dumps(spec))
-            out, err = Path(tmp) / "out", io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["fixtures", "--spec", str(spec_file), "--out", str(out)])
+            out = Path(tmp) / "out"
+            code, lines = _main_quietly(["fixtures", "--spec", str(spec_file), "--out", str(out)])
             if code == 0:
                 n = spec.get("n_images", 3)
                 written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
@@ -564,5 +571,64 @@ class TestFixtureSpecFuzz:
                 )
             else:
                 assert code == 2
-                lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error:argument:")
+
+
+_FUZZ_FILES = [f"{sub}/img_{i:03d}.{ext}" for i in range(2)
+               for sub, ext in (("features", "crpt"), ("gt", "pgm"), ("init", "pgm"))]
+
+# Both headers are at least 11 bytes long: b"P5\n6 6\n255\n", and a CRPT
+# file's magic, version, dtype, ndim and first extent.
+_DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 600)),
+    st.tuples(st.just("flip"), st.integers(0, 10), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("empty")),
+)
+
+
+def _damaged(raw: bytes, damage) -> bytes:
+    kind, *args = damage
+    if kind == "truncate":
+        return raw[:min(args[0], len(raw) - 1)]
+    if kind == "flip":
+        pos, mask = args
+        return raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:]
+    if kind == "append":
+        return raw + args[0]
+    return b""
+
+
+@pytest.fixture(scope="module")
+def fuzz_group(tmp_path_factory):
+    """Every file of a 2-image 4x6x6 fixture, by its path under the fixture root."""
+    root = tmp_path_factory.mktemp("fuzz")
+    spec = {"seed": 5, "n_images": 2, "channels": 4, "height": 6, "width": 6, "region_size": 3}
+    (root / "spec.json").write_text(json.dumps(spec))
+    assert _main_quietly(["fixtures", "--spec", str(root / "spec.json"),
+                          "--out", str(root / "data")]) == (0, [])
+    return {rel: (root / "data" / rel).read_bytes() for rel in _FUZZ_FILES}
+
+
+class TestDamagedFileFuzz:
+    @given(target=st.sampled_from(_FUZZ_FILES), damage=_DAMAGE,
+           command=st.sampled_from(["run", "eval"]))
+    def test_output_or_one_error_line(self, fuzz_group, target, damage, command):
+        """One damaged CRPT or PGM file ends in exit 0 or one error line of its exit code."""
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "data"
+            for rel, raw in fuzz_group.items():
+                (data / rel).parent.mkdir(parents=True, exist_ok=True)
+                (data / rel).write_bytes(_damaged(raw, damage) if rel == target else raw)
+            if command == "run":
+                argv = _run_args(data, Path(tmp) / "out", "--k", "4", "--iters", "2")
+            else:
+                argv = ["eval", "--pred", str(data / "init"), "--gt", str(data / "gt"),
+                        "--out", str(Path(tmp) / "metrics.csv")]
+            code, lines = _main_quietly(argv)
+        if code == 0:
+            assert lines == []
+        else:
+            category = {2: "argument", 3: "format", 4: "shape"}.get(code)
+            assert category is not None, (code, lines)
+            assert len(lines) == 1 and lines[0].startswith(f"error:{category}:"), lines

@@ -19,7 +19,7 @@ from corp import (
     run_pipeline,
 )
 from corp.decoder import DECODERS, MAX_EPS, decode_corep, decode_mean
-from corp.errors import DecoderNotFoundError
+from corp.errors import ArgumentError
 from conftest import map_stacks, random_feature_group, random_map_group
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -103,7 +103,7 @@ class TestRegistry:
         assert DECODERS["reference"] is get_decoder("reference") is decode_corep
 
     def test_unknown_name(self):
-        with pytest.raises(DecoderNotFoundError, match="unknown decoder 'definitely-not-there'; known: "):
+        with pytest.raises(ArgumentError, match="unknown decoder 'definitely-not-there'; known: "):
             get_decoder("definitely-not-there")
 
     def test_custom_decoder_selectable(self, rng, monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 
 from corp import (
     ArgumentError,
-    DegenerateInputError,
     MapGroup,
     ShapeError,
     grad_check,
@@ -42,10 +41,6 @@ class TestIouLoss:
             b = MapGroup(rng.random((3, 4, 4)).astype(np.float32))
             assert 0.0 <= iou_loss(a, b).value <= 1.0
 
-    def test_literal_sum_goes_negative_for_good_groups(self):
-        g = group([[1.0, 0.0]], [[0.0, 1.0]])
-        assert iou_loss(g, g, reduction="sum").value == pytest.approx(-1.0)
-
     def test_zero_iff_equal(self, rng):
         a = MapGroup(rng.random((2, 3, 3)).astype(np.float32))
         b = MapGroup(np.clip(a.maps + 0.01, 0, 1))
@@ -55,17 +50,12 @@ class TestIouLoss:
     def test_degenerate_union_names_image(self):
         pred = group([[0.5, 0.5]], [[0.0, 0.0]])
         gt = group([[1.0, 0.0]], [[0.0, 0.0]])
-        with pytest.raises(DegenerateInputError, match="image 1"):
+        with pytest.raises(ArgumentError, match="image 1: .* both all-zero"):
             iou_loss(pred, gt)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             iou_loss(group([[1.0]]), group([[1.0, 0.0]]))
-
-    def test_unknown_reduction(self):
-        g = group([[1.0]])
-        with pytest.raises(ArgumentError):
-            iou_loss(g, g, reduction="median")
 
     def test_gradient_shape_and_sign(self, rng):
         pred = MapGroup(rng.uniform(0.2, 0.8, (2, 3, 3)).astype(np.float32))
@@ -88,20 +78,36 @@ class TestGradCheck:
         assert report.passed
         assert report.max_rel_error <= 1e-10
 
+    def test_nan_analytic_coordinate_fails(self, rng):
+        w = rng.standard_normal((2, 3, 3))
+
+        def linear_nan_at_one(x):
+            grad = w.copy()
+            grad[1, 2, 0] = np.nan
+            return float((w * x).sum()), grad
+
+        report = grad_check(linear_nan_at_one, rng.random((2, 3, 3)))
+        assert not report.passed
+        assert np.isnan(report.max_rel_error)
+        assert report.worst_index == (1, 2, 0)
+
+    @pytest.mark.parametrize("step, tol", [
+        (float("nan"), 1e-4), (float("inf"), 1e-4), (1e-5, float("nan")),
+        (1e-5, float("inf")), (0.0, 1e-4), (1e-5, -1.0),
+    ])
+    def test_non_finite_or_non_positive_step_or_tol_rejected(self, rng, step, tol):
+        w = rng.standard_normal(3)
+        with pytest.raises(ArgumentError, match="step and tol must be"):
+            grad_check(lambda x: (float((w * x).sum()), w.copy()), np.ones(3), step=step, tol=tol)
+
     def test_iou_gradient_random_points(self, rng):
         for _ in range(10):
             gt = rng.uniform(0.1, 0.9, (2, 4, 4))
             delta = rng.uniform(2e-3, 0.05, gt.shape) * rng.choice([-1.0, 1.0], gt.shape)
             pred = np.clip(gt + delta, 0.05, 0.95)
             pred[np.abs(pred - gt) < 1e-3] -= 2e-3
-            report = iou_grad_check(pred, gt, step=1e-5, tol=1e-4)
+            report = iou_grad_check(pred, gt)
             assert report.passed, report
-
-    def test_iou_gradient_literal_reduction(self, rng):
-        gt = rng.uniform(0.2, 0.8, (3, 3, 3))
-        pred = np.clip(gt + 0.05, 0.0, 0.95)
-        report = iou_grad_check(pred, gt, reduction="sum")
-        assert report.passed
 
     def test_tie_point_precondition(self):
         gt = np.full((1, 2, 2), 0.5)

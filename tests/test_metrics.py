@@ -81,7 +81,7 @@ class TestFMeasure:
     def test_hand_case_half_precision_full_recall(self):
         pred = group([[0.9, 0.9], [0.1, 0.1]])
         gt = group([[1.0, 0.0], [0.0, 0.0]])
-        curve = f_measure_curve(pred, gt, beta_sq=0.3)
+        curve = f_measure_curve(pred, gt)
         assert THRESHOLDS[128] == 0.5
         assert curve[128] == pytest.approx(0.565, abs=1e-3)
 

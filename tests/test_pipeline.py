@@ -17,7 +17,6 @@ from corp import (
     run_pipeline,
     score_all,
 )
-from corp.errors import DecoderNotFoundError
 from corp.oracles import oracle_correlation_transform, oracle_proxy, oracle_search
 from corp.pipeline import IterationRecord, IterationTrace
 from conftest import (
@@ -294,7 +293,7 @@ class TestRunPipeline:
     def test_unknown_decoder(self, rng):
         fg = random_feature_group(rng, n=2, d=4, h=4, w=4)
         init = random_map_group(rng, n=2, h=4, w=4)
-        with pytest.raises(DecoderNotFoundError):
+        with pytest.raises(ArgumentError, match="unknown decoder 'missing'; known: "):
             run_pipeline(fg, init, PipelineConfig(decoder="missing"))
 
     def test_keep_scores(self, rng):

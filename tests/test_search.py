@@ -406,9 +406,3 @@ class TestPurityProportion:
         corep = self._corep([(0, 2, 2)])
         with pytest.raises(ShapeError):
             purity_proportion(corep, gt)
-
-    def test_bad_threshold(self):
-        gt = MapGroup(np.ones((1, 3, 3), dtype=np.float32))
-        corep = self._corep([(0, 0, 0)])
-        with pytest.raises(ArgumentError):
-            purity_proportion(corep, gt, threshold=1.5)

@@ -149,7 +149,7 @@ class TestMapGroup:
 
 class TestProxy:
     def test_unit_ok(self):
-        p = Proxy(np.array([0.6, 0.8]), iteration=1)
+        p = Proxy(np.array([0.6, 0.8]))
         assert p.dim == 2 and not p.degenerate
 
     def test_non_unit_rejected(self):
@@ -159,11 +159,6 @@ class TestProxy:
     def test_degenerate_skips_norm_check(self):
         p = Proxy(np.zeros(3), degenerate=True)
         assert p.degenerate
-
-    @pytest.mark.parametrize("iteration", [True, 2.5, -1])
-    def test_non_count_iteration_rejected(self, iteration):
-        with pytest.raises(ArgumentError):
-            Proxy(np.array([0.6, 0.8]), iteration=iteration)
 
 
 class TestCoRepresentation:
